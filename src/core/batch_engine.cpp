@@ -14,24 +14,106 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// FNV-1a 64 over the raw bytes of a cost row: a bit-identity check, not
-// a numeric one — any representational change (including -0.0 vs 0.0)
-// counts as a profile change. Deterministic across builds, O(C) per row
-// vs the O(C²) layer rebuild it saves.
+// FNV-1a 64 over the 64-bit words of a cost row: a bit-identity check,
+// not a numeric one — any representational change (including -0.0 vs
+// 0.0) counts as a profile change, and since each step is a bijection of
+// the running hash, any single-word edit changes the result. One
+// multiply per double, O(C) per row vs the layer rebuild it saves.
 std::uint64_t row_fingerprint(const double* row, std::size_t n) {
   std::uint64_t h = 1469598103934665603ULL;
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t bits;
     std::memcpy(&bits, &row[i], sizeof(bits));
-    for (int b = 0; b < 8; ++b) {
-      h ^= (bits >> (8 * b)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
+    h = (h ^ bits) * 1099511628211ULL;
   }
   return h;
 }
 
+// Emits one solve's DP accounting on every exit path: the solve and cell
+// counters, which kernel ran, and the solve's latency. Inert (one branch)
+// when observability is off.
+struct SolveRecorder {
+  const dp_detail::LayerLoop& loop;
+  const bool active = obs::enabled();
+  const std::uint64_t start_ns = active ? obs::now_ns() : 0;
+
+  ~SolveRecorder() {
+    if (!active) return;
+    OCPS_OBS_COUNT("dp.solves", 1);
+    OCPS_OBS_COUNT("dp.cells", loop.cells);
+    if (dp_detail::active_kernel() == dp_detail::KernelKind::kAvx2)
+      OCPS_OBS_COUNT("dp.kernel.avx2", 1);
+    else
+      OCPS_OBS_COUNT("dp.kernel.scalar", 1);
+    OCPS_OBS_HIST("dp.solve_ns", obs::now_ns() - start_ns);
+  }
+};
+
 }  // namespace
+
+void dp_detail::solve_layers(LayerLoop& loop, DpResult& out) {
+  SolveRecorder recorder{loop};
+  const std::size_t p = loop.count, cap = loop.capacity, stride = cap + 1;
+  auto lo_of = [&](std::size_t j) { return loop.lo ? loop.lo[j] : 0; };
+  auto hi_of = [&](std::size_t j) {
+    return loop.hi ? std::min(loop.hi[j], cap) : cap;
+  };
+  out.feasible = false;
+  out.objective_value = 0.0;
+  out.alloc.clear();  // keeps capacity; refilled on success
+  loop.built = 0;
+  loop.cells = 0;
+
+  std::size_t lo_sum = 0;
+  for (std::size_t j = 0; j < p; ++j) {
+    if (lo_of(j) > hi_of(j)) return;
+    lo_sum += lo_of(j);
+  }
+  if (lo_sum > cap) return;
+
+  // below = L_{j−1}: the kernel sees layer j through pointers offset by
+  // it, so its state range [lo_j, C − R_j − L_{j−1}] and candidate bound
+  // c <= k are the feasible window in absolute terms.
+  std::size_t below = 0;
+  for (std::size_t j = 0; j < p; ++j) {
+    const std::size_t lo = lo_of(j);
+    const std::size_t top = cap - (lo_sum - below - lo);  // C − R_j
+    if (j < loop.reuse && loop.top[j] >= top) {
+      below += lo;
+      continue;
+    }
+    loop.reuse = std::min(loop.reuse, j);
+    double* next = loop.best + j * stride + below;
+    std::uint32_t* choice = loop.choice + j * stride + below;
+    const std::size_t k_end = top - below;
+    // The final layer feeds the backtrack only at state C.
+    const std::size_t k_begin = j + 1 == p ? k_end : lo;
+    // The base layer writes only states up to hi; the rest stay +inf.
+    if (j == 0) std::fill(next + k_begin, next + k_end + 1, kInf);
+    loop.cells += forward_layer(
+        loop.objective, loop.cost.row(loop.members ? loop.members[j] : j),
+        lo, hi_of(j), k_begin, k_end, /*prev_is_base=*/j == 0,
+        j == 0 ? nullptr : loop.best + (j - 1) * stride + below, next,
+        choice);
+    if (loop.top) loop.top[j] = top;
+    ++loop.built;
+    below += lo;
+  }
+
+  const double value = loop.best[(p - 1) * stride + cap];
+  if (value == kInf) return;
+  out.feasible = true;
+  out.objective_value = value;
+  out.alloc.assign(p, 0);
+  std::size_t k = cap;
+  for (std::size_t j = p; j-- > 0;) {
+    const std::size_t c = loop.choice[j * stride + k];
+    OCPS_CHECK(c <= k, "backtrack inconsistency");
+    out.alloc[j] = c;
+    k -= c;
+  }
+  OCPS_CHECK(k == 0, "allocation does not sum to capacity");
+}
 
 void PrefixDpSolver::configure(CostMatrixView all_costs, std::size_t capacity,
                                DpObjective objective) {
@@ -47,26 +129,28 @@ void PrefixDpSolver::configure(CostMatrixView all_costs, std::size_t capacity,
   capacity_ = capacity;
   objective_ = objective;
   valid_layers_ = 0;
-  final_best_.resize(capacity + 1);
-  final_choice_.resize(capacity + 1);
 }
 
 void PrefixDpSolver::solve(const std::uint32_t* members, std::size_t count,
                            const std::size_t* lo, DpResult& out) {
   OCPS_CHECK(count >= 1, "need at least one program");
+  for (std::size_t j = 0; j < count; ++j)
+    OCPS_CHECK(members[j] < costs_.rows(),
+               "program index out of range: " << members[j]);
   ++stats_.solves;
-  if (dp_detail::active_kernel() == dp_detail::KernelKind::kAvx2)
-    OCPS_OBS_COUNT("dp.kernel.avx2", 1);
-  else
-    OCPS_OBS_COUNT("dp.kernel.scalar", 1);
-  out.feasible = false;
-  out.objective_value = 0.0;
-  out.alloc.clear();  // keeps capacity; refilled on success
-
-  if (layers_.size() < count) layers_.resize(count);
+  const std::size_t stride = capacity_ + 1;
+  if (layers_.size() < count) {
+    layers_.resize(count);
+    tops_.resize(count);
+  }
+  if (best_.size() < count * stride) {
+    best_.resize(count * stride);
+    choice_.resize(count * stride);
+  }
 
   // Longest cached prefix whose (member, lo) pairs match this group. Only
-  // non-final layers (positions 0..count-2) are ever cached.
+  // non-final layers (positions 0..count-2) are ever cached; solve_layers
+  // also checks that each one's top reaches this group's window.
   std::size_t reuse = 0;
   while (reuse < valid_layers_ && reuse + 1 < count &&
          layers_[reuse].member == members[reuse] &&
@@ -74,66 +158,30 @@ void PrefixDpSolver::solve(const std::uint32_t* members, std::size_t count,
     ++reuse;
   }
   valid_layers_ = reuse;
-  stats_.layers_reused += reuse;
 
-  // Build the missing non-final layers.
-  for (std::size_t j = reuse; j + 1 < count; ++j) {
-    const std::size_t lo_j = lo ? lo[j] : 0;
-    OCPS_CHECK(members[j] < costs_.rows(),
-               "program index out of range: " << members[j]);
-    if (lo_j > capacity_) return;  // infeasible bounds
-    Layer& layer = layers_[j];
-    layer.member = members[j];
-    layer.lo = lo_j;
-    layer.fingerprint =
-        row_fingerprint(costs_.row(members[j]), capacity_ + 1);
-    layer.best.assign(capacity_ + 1, kInf);
-    layer.choice.resize(capacity_ + 1);
-    const double* prev = j == 0 ? nullptr : layers_[j - 1].best.data();
-    stats_.cells += dp_detail::forward_layer(
-        objective_, costs_.row(members[j]), lo_j, capacity_,
-        /*k_begin=*/lo_j, /*k_end=*/capacity_, /*prev_is_base=*/j == 0,
-        prev, layer.best.data(), layer.choice.data());
-    ++stats_.layers_computed;
-    valid_layers_ = j + 1;
+  dp_detail::LayerLoop loop;
+  loop.objective = objective_;
+  loop.cost = costs_;
+  loop.members = members;
+  loop.count = count;
+  loop.capacity = capacity_;
+  loop.lo = lo;
+  loop.best = best_.data();
+  loop.choice = choice_.data();
+  loop.top = tops_.data();
+  loop.reuse = reuse;
+  dp_detail::solve_layers(loop, out);
+  stats_.cells += loop.cells;
+  if (loop.built == 0) return;  // infeasible bounds: nothing was built
+
+  stats_.layers_reused += loop.reuse;
+  stats_.layers_computed += loop.built;
+  for (std::size_t j = loop.reuse; j + 1 < count; ++j) {
+    layers_[j].member = members[j];
+    layers_[j].lo = lo ? lo[j] : 0;
+    layers_[j].fingerprint = row_fingerprint(costs_.row(members[j]), stride);
   }
-
-  // Final layer: the backtrack only reads its capacity column, so compute
-  // that single state (never cached — the next group almost certainly ends
-  // differently).
-  const std::size_t last = count - 1;
-  const std::size_t lo_last = lo ? lo[last] : 0;
-  OCPS_CHECK(members[last] < costs_.rows(),
-             "program index out of range: " << members[last]);
-  if (lo_last > capacity_) return;  // infeasible bounds
-  final_best_[capacity_] = kInf;
-  stats_.cells += dp_detail::forward_layer(
-      objective_, costs_.row(members[last]), lo_last, capacity_,
-      /*k_begin=*/capacity_, /*k_end=*/capacity_,
-      /*prev_is_base=*/count == 1,
-      count == 1 ? nullptr : layers_[count - 2].best.data(),
-      final_best_.data(), final_choice_.data());
-  ++stats_.layers_computed;
-
-  if (final_best_[capacity_] == kInf) return;  // infeasible
-
-  out.feasible = true;
-  out.objective_value = final_best_[capacity_];
-  out.alloc.assign(count, 0);
-  std::size_t k = capacity_;
-  {
-    std::size_t c = final_choice_[capacity_];
-    out.alloc[last] = c;
-    OCPS_CHECK(c <= k, "backtrack inconsistency");
-    k -= c;
-  }
-  for (std::size_t j = last; j-- > 0;) {
-    std::size_t c = layers_[j].choice[k];
-    out.alloc[j] = c;
-    OCPS_CHECK(c <= k, "backtrack inconsistency");
-    k -= c;
-  }
-  OCPS_CHECK(k == 0, "allocation does not sum to capacity");
+  valid_layers_ = count - 1;
 }
 
 std::size_t PrefixDpSolver::truncate_layers(std::size_t keep) {

@@ -1,22 +1,34 @@
-// Prefix-memoized DP for batched group evaluation (the engine behind
-// sweep_groups).
+// The DP layer loop behind every partitioning solve, and the
+// prefix-memoized solver the batched group sweep runs on.
 //
-// The Table I sweep solves the same partitioning DP for every co-run
-// group drawn from one program table. The DP table is built one member
-// layer at a time, and a layer depends only on the member prefix before
-// it — so two groups that share a prefix share those layers exactly.
-// Enumerated in lexicographic order, the C(13,4) = 715 four-member groups
-// of a 13-program table touch only 13 + 78 + 286 = 377 distinct non-final
-// layers instead of 715 × 3 = 2,145: adjacent groups usually differ only
-// in the last member, and the last layer is never materialized anyway —
-// the backtrack reads just its capacity column, so the solver computes
-// that single state (O(C) instead of O(C²/2)).
+// Feasible windows. With per-position lower bounds lo_j, let
+// L_j = Σ_{i<=j} lo_i and R_j = Σ_{i>j} lo_i. A state k of layer j (units
+// given to positions 0..j) can lie on a complete allocation only if
+// L_j <= k <= C − R_j, and a candidate c for position j only if the
+// previous state k − c >= L_{j−1}. dp_detail::solve_layers computes
+// exactly those cells, by offsetting the kernel's prev/next/choice
+// pointers by L_{j−1}: every dropped cell has prev = +inf or a state that
+// cannot reach C, so the values and choices the backtrack reads are
+// bit-for-bit those of the full 0..C scan. Bounded solves cost O(P·S²)
+// for slack S = C − Σlo; unbounded ones keep O(P·C²). optimize_partition
+// calls it uncached; PrefixDpSolver adds prefix reuse on top.
+//
+// Prefix reuse. The Table I sweep solves the same DP for every co-run
+// group drawn from one program table, and a layer depends only on the
+// member prefix before it — so two groups that share a prefix share those
+// layers. Enumerated in lexicographic order, the C(13,4) = 715
+// four-member groups of a 13-program table touch only 13 + 78 + 286 = 377
+// distinct non-final layers instead of 715 × 3 = 2,145. The last layer is
+// never cached: the backtrack reads just its capacity column, so only
+// that single state is computed (O(C) instead of O(C²/2)).
 //
 // PrefixDpSolver keeps the layer stack from the previous solve and reuses
-// the longest prefix whose (member, lower-bound) pairs match; everything
-// is arena-allocated and reused, so steady-state solves do zero heap
-// allocation. Results are bit-for-bit identical to per-group
-// optimize_partition: both run the same dp_detail::forward_layer kernel.
+// the longest prefix whose (member, lower-bound) pairs match and whose
+// recorded top state reaches this solve's C − R_j (the top depends on
+// the suffix bounds of the group that built the layer; unbounded solves
+// always build to C). Everything is arena-allocated and reused, so
+// steady-state solves do zero heap allocation, and results are
+// bit-for-bit those of optimize_partition.
 //
 // Incremental re-solve: each cached layer remembers a fingerprint of the
 // cost row it was built from. When a profile changes between controller
@@ -37,6 +49,39 @@
 #include "core/dp_partition.hpp"
 
 namespace ocps {
+
+namespace dp_detail {
+
+/// One call of the windowed layer loop: inputs, caller-owned tables, and
+/// what the call did.
+struct LayerLoop {
+  DpObjective objective = DpObjective::kSumCost;
+  CostMatrixView cost;
+  const std::uint32_t* members = nullptr;  ///< position j -> cost row
+                                           ///  members[j]; null: row j
+  std::size_t count = 0;                   ///< positions (>= 1)
+  std::size_t capacity = 0;
+  const std::size_t* lo = nullptr;  ///< per-position lower bounds; null: 0
+  const std::size_t* hi = nullptr;  ///< per-position upper bounds; null: C
+  double* best = nullptr;           ///< count rows of capacity+1 values,
+  std::uint32_t* choice = nullptr;  ///< and of choices; row j = layer j
+  std::size_t* top = nullptr;       ///< per layer: highest state built
+  std::size_t reuse = 0;  ///< in: leading rows already holding this
+                          ///  (row, lo) prefix; out: rows reused
+  std::size_t built = 0;  ///< out: layers computed (0 = infeasible bounds)
+  std::uint64_t cells = 0;  ///< out: (state, candidate) cells examined
+};
+
+/// Runs the windowed DP over loop.count positions and backtracks into
+/// `out` (feasible == false when the bounds admit no allocation). Rows
+/// [0, loop.reuse) are kept while top[j] reaches this solve's C − R_j;
+/// the first one that does not, and every row after it, is rebuilt and
+/// its top recorded. Bounds with some lo_j > min(hi_j, C), or Σlo > C,
+/// exit in O(P) without touching the tables. Emits dp.solves, dp.cells,
+/// dp.kernel.* and dp.solve_ns once per call.
+void solve_layers(LayerLoop& loop, DpResult& out);
+
+}  // namespace dp_detail
 
 /// Batched DP solver over groups drawn from one cost table. Not
 /// thread-safe: use one per sweep thread (see parallel_for_with).
@@ -61,8 +106,9 @@ class PrefixDpSolver {
 
   /// Solves the partitioning DP for the group `members[0..count)` (indices
   /// into the configured table) with optional per-position lower bounds
-  /// `lo` (nullptr = all zero; upper bounds are the full capacity). Reuses
-  /// `out.alloc` storage. Infeasible bounds yield out.feasible == false.
+  /// `lo` (nullptr = all zero; upper bounds are the full capacity), each
+  /// layer over its feasible window only. Reuses `out.alloc` storage.
+  /// Infeasible bounds yield out.feasible == false.
   void solve(const std::uint32_t* members, std::size_t count,
              const std::size_t* lo, DpResult& out);
 
@@ -89,14 +135,12 @@ class PrefixDpSolver {
 
  private:
   // One cached DP layer: the table row after including `member` with lower
-  // bound `lo` at this position. best/choice are sized capacity+1 and
-  // reused across solves.
+  // bound `lo` at this position. Its values and choices are row j of
+  // best_/choice_, and its top state is tops_[j].
   struct Layer {
     std::uint32_t member = 0;
     std::size_t lo = 0;
     std::uint64_t fingerprint = 0;  ///< hash of the cost row at build time
-    std::vector<double> best;
-    std::vector<std::uint32_t> choice;
   };
 
   // Invalidation helper shared by the resolve_incremental overloads.
@@ -106,9 +150,10 @@ class PrefixDpSolver {
   std::size_t capacity_ = 0;
   DpObjective objective_ = DpObjective::kSumCost;
   std::vector<Layer> layers_;
+  std::vector<std::size_t> tops_;
+  std::vector<double> best_;
+  std::vector<std::uint32_t> choice_;
   std::size_t valid_layers_ = 0;  ///< prefix of layers_ that is current
-  std::vector<double> final_best_;
-  std::vector<std::uint32_t> final_choice_;
   Stats stats_;
 };
 

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "combinatorics/enumerate.hpp"
+#include "core/batch_engine.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
 
@@ -15,46 +16,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Resolves DpOptions bounds into scratch.lo / scratch.hi.
-void resolve_bounds(std::size_t programs, std::size_t capacity,
-                    const DpOptions& options, DpScratch& scratch) {
-  scratch.lo.assign(programs, 0);
-  scratch.hi.assign(programs, capacity);
-  if (!options.min_alloc.empty()) {
-    OCPS_CHECK(options.min_alloc.size() == programs,
-               "min_alloc size mismatch");
-    scratch.lo.assign(options.min_alloc.begin(), options.min_alloc.end());
-  }
-  if (!options.max_alloc.empty()) {
-    OCPS_CHECK(options.max_alloc.size() == programs,
-               "max_alloc size mismatch");
-    scratch.hi.assign(options.max_alloc.begin(), options.max_alloc.end());
-  }
-  // Infeasible bounds (lo > hi, or Σlo > capacity) are reported by the
-  // optimizers via feasible == false rather than rejected here.
-  for (std::size_t i = 0; i < programs; ++i)
-    scratch.hi[i] = std::min(scratch.hi[i], capacity);
-}
-
-// Emits the DP's span and metrics on every exit path: solve latency
-// histogram, cell-evaluation and solve counters, and the table size the
-// solve uses. Inert (one branch) when observability is off.
-struct DpObsRecorder {
-  obs::ScopedSpan span{"dp.optimize", "core"};
-  std::uint64_t cells = 0;
-  std::uint64_t table_bytes = 0;
-
-  ~DpObsRecorder() {
-    if (!span.active()) return;
-    span.set_arg("cells", cells);
-    OCPS_OBS_COUNT("dp.solves", 1);
-    OCPS_OBS_COUNT("dp.cells", cells);
-    OCPS_OBS_HIST("dp.solve_ns", span.elapsed_ns());
-    OCPS_OBS_GAUGE("dp.table_bytes", table_bytes);
-  }
-};
-
-void validate_costs(CostMatrixView cost, std::size_t capacity) {
+void validate(CostMatrixView cost, std::size_t capacity,
+              const DpOptions& options) {
   const std::size_t p = cost.rows();
   OCPS_CHECK(p >= 1, "need at least one program");
   OCPS_CHECK(cost.cols() >= capacity + 1,
@@ -67,97 +30,40 @@ void validate_costs(CostMatrixView cost, std::size_t capacity) {
       OCPS_CHECK(std::isfinite(row[c]),
                  "non-finite cost at program " << i << ", c=" << c);
   }
+  // Infeasible bounds (lo > hi, or Σlo > capacity) are reported by the
+  // optimizers via feasible == false rather than rejected here.
+  OCPS_CHECK(options.min_alloc.empty() || options.min_alloc.size() == p,
+             "min_alloc size mismatch");
+  OCPS_CHECK(options.max_alloc.empty() || options.max_alloc.size() == p,
+             "max_alloc size mismatch");
 }
 
 }  // namespace
 
 void DpScratch::reserve(std::size_t programs, std::size_t capacity) {
-  const std::size_t cols = capacity + 1;
-  bool grew = best.capacity() < cols || next.capacity() < cols ||
-              choice.capacity() < programs * cols ||
-              row_ptrs.capacity() < programs;
-  if (grew) {
-    ++grow_events;
-    OCPS_OBS_COUNT("dp.scratch_grow", 1);
-  }
-  best.resize(cols);
-  next.resize(cols);
-  choice.resize(programs * cols);
-  if (row_ptrs.capacity() < programs) row_ptrs.reserve(programs);
+  const std::size_t cells = programs * (capacity + 1);
+  if (best.size() >= cells) return;
+  ++grow_events;
+  OCPS_OBS_COUNT("dp.scratch_grow", 1);
+  best.resize(cells);
+  choice.resize(cells);
 }
-
-namespace {
-
-// Records which forward-layer kernel this solve dispatched to. The
-// counter pair (dp.kernel.avx2 / dp.kernel.scalar) counts solves, not
-// layers, so `ocps stats` and Prometheus show which path production is
-// actually on without per-layer overhead.
-void count_kernel_solve() {
-  if (dp_detail::active_kernel() == dp_detail::KernelKind::kAvx2)
-    OCPS_OBS_COUNT("dp.kernel.avx2", 1);
-  else
-    OCPS_OBS_COUNT("dp.kernel.scalar", 1);
-}
-
-}  // namespace
 
 DpResult optimize_partition(CostMatrixView cost, std::size_t capacity,
                             const DpOptions& options, DpScratch& scratch) {
-  const std::size_t p = cost.rows();
-  DpObsRecorder obs_rec;
-  count_kernel_solve();
-  validate_costs(cost, capacity);
-  resolve_bounds(p, capacity, options, scratch);
-  scratch.reserve(p, capacity);
-  obs_rec.table_bytes =
-      (capacity + 1) * (p * sizeof(std::uint32_t) + 2 * sizeof(double));
-
-  // best[k] = optimal objective over the first i programs using exactly k
-  // units; choice row i holds the units given to program i in that
-  // optimum. The final layer only ever feeds the backtrack at
-  // k = capacity, so it is computed for that single state.
-  std::fill(scratch.best.begin(), scratch.best.begin() + capacity + 1,
-            kInf);
-  scratch.best[0] = 0.0;
-
-  for (std::size_t i = 0; i < p; ++i) {
-    const std::size_t lo = scratch.lo[i];
-    const std::size_t hi = scratch.hi[i];
-    if (lo > capacity || lo > hi) {
-      return DpResult{};  // infeasible bounds
-    }
-    std::uint32_t* choice_row = scratch.choice.data() + i * (capacity + 1);
-    const bool final_layer = (i + 1 == p);
-    const std::size_t k_begin = final_layer ? capacity : lo;
-    if (!final_layer)
-      std::fill(scratch.next.begin(),
-                scratch.next.begin() + capacity + 1, kInf);
-    obs_rec.cells += dp_detail::forward_layer(
-        options.objective, cost.row(i), lo, hi, k_begin, capacity,
-        /*prev_is_base=*/i == 0, scratch.best.data(), scratch.next.data(),
-        choice_row);
-    if (final_layer && i == 0) {
-      // Single-program solve: the base fast path only writes [lo, hi];
-      // state `capacity` may be outside it.
-      if (capacity > hi) scratch.next[capacity] = kInf;
-    }
-    scratch.best.swap(scratch.next);
-  }
-
-  if (scratch.best[capacity] == kInf) return DpResult{};
-
+  validate(cost, capacity, options);
+  scratch.reserve(cost.rows(), capacity);
+  dp_detail::LayerLoop loop;
+  loop.objective = options.objective;
+  loop.cost = cost;
+  loop.count = cost.rows();
+  loop.capacity = capacity;
+  if (!options.min_alloc.empty()) loop.lo = options.min_alloc.data();
+  if (!options.max_alloc.empty()) loop.hi = options.max_alloc.data();
+  loop.best = scratch.best.data();
+  loop.choice = scratch.choice.data();
   DpResult result;
-  result.feasible = true;
-  result.objective_value = scratch.best[capacity];
-  result.alloc.assign(p, 0);
-  std::size_t k = capacity;
-  for (std::size_t i = p; i-- > 0;) {
-    std::size_t c = scratch.choice[i * (capacity + 1) + k];
-    result.alloc[i] = c;
-    OCPS_CHECK(c <= k, "backtrack inconsistency");
-    k -= c;
-  }
-  OCPS_CHECK(k == 0, "allocation does not sum to capacity");
+  dp_detail::solve_layers(loop, result);
   return result;
 }
 
@@ -215,11 +121,8 @@ Result<DpResult> try_optimize_partition(CostMatrixView cost,
 DpResult optimize_partition_exhaustive(CostMatrixView cost,
                                        std::size_t capacity,
                                        const DpOptions& options) {
+  validate(cost, capacity, options);
   const std::size_t p = cost.rows();
-  OCPS_CHECK(p >= 1, "need at least one program");
-  DpScratch scratch;
-  resolve_bounds(p, capacity, options, scratch);
-
   DpResult best;
   best.objective_value = kInf;
   for_each_composition(
@@ -230,7 +133,8 @@ DpResult optimize_partition_exhaustive(CostMatrixView cost,
         bool ok = true;
         for (std::size_t i = 0; i < p; ++i) {
           std::size_t c = alloc[i];
-          if (c < scratch.lo[i] || c > scratch.hi[i]) {
+          if ((!options.min_alloc.empty() && c < options.min_alloc[i]) ||
+              (!options.max_alloc.empty() && c > options.max_alloc[i])) {
             ok = false;
             break;
           }

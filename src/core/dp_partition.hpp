@@ -3,7 +3,9 @@
 // Given per-program cost curves cost_i(c) over integer allocations
 // c = 0..C, find the allocation (c_1..c_P) with Σ c_i = C minimizing the
 // objective. Unlike STTW, no convexity is assumed: the DP examines the
-// entire solution space in O(P·C²) time and O(P·C) space.
+// entire solution space in O(P·C²) time and O(P·C) space. With lower
+// bounds it scans only each layer's feasible window (core/batch_engine.hpp),
+// so a bounded solve costs O(P·S²) for slack S = C − Σ min_alloc.
 //
 // Two objectives are built in, both associative-monotone so the same table
 // recurrence applies:
@@ -53,12 +55,8 @@ struct DpResult {
 /// (mirrored in obs counter `dp.scratch_grow`): in a steady-state sweep
 /// it stops increasing after the first solve per thread.
 struct DpScratch {
-  std::vector<double> best;
-  std::vector<double> next;
-  std::vector<std::uint32_t> choice;  ///< flat programs × (capacity+1)
-  std::vector<std::size_t> lo;
-  std::vector<std::size_t> hi;
-  std::vector<const double*> row_ptrs;  ///< for gathered views
+  std::vector<double> best;           ///< flat programs × (capacity+1)
+  std::vector<std::uint32_t> choice;  ///< same shape
   std::uint64_t grow_events = 0;
 
   /// Ensures capacity for a (programs, capacity) solve.
@@ -93,10 +91,11 @@ DpResult optimize_partition_exhaustive(CostMatrixView cost,
                                        std::size_t capacity,
                                        const DpOptions& options = {});
 
-// The forward-layer kernel shared between the per-solve DP and the
-// prefix-memoized batch engine lives in core/dp_kernel.hpp (included
-// above): dp_detail::forward_layer dispatches between the pinned scalar
-// reference and the AVX2 kernel at runtime, and every kernel produces
-// bit-identical tables.
+// The windowed layer loop shared by optimize_partition and the
+// prefix-memoized PrefixDpSolver is dp_detail::solve_layers
+// (core/batch_engine.hpp); its forward-layer kernel lives in
+// core/dp_kernel.hpp (included above), which dispatches between the
+// pinned scalar reference and the AVX2 kernel at runtime, and every
+// kernel produces bit-identical tables.
 
 }  // namespace ocps

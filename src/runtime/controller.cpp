@@ -313,10 +313,9 @@ ControllerResult run_online_controller(const InterleavedTrace& trace,
           } else {
             dp_solver.resolve_incremental(ewma_cost.view());
           }
+          // The solver accounts dp.solves / dp.cells / dp.solve_ns.
           dp_solver.solve(dp_members.data(), p,
                           dp_lo.empty() ? nullptr : dp_lo.data(), dp_buf);
-          OCPS_OBS_COUNT("dp.solves", 1);
-          OCPS_OBS_HIST("dp.solve_ns", span.elapsed_ns());
         } catch (const CheckError& e) {
           OCPS_OBS_COUNT("dp.errors", 1);
           return Result<DpResult>(ErrorCode::kInternal, e.what());

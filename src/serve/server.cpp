@@ -1407,6 +1407,12 @@ void Server::answer_sweep(Pending& p, const ProfileSet& set) {
 }
 
 void Server::respond(Pending& p, const std::string& line, bool answered) {
+  // Counted before the line goes out, so a client that has its answer
+  // and asks for health next always sees it counted.
+  if (answered) {
+    counters_->answered.fetch_add(1);
+    OCPS_OBS_COUNT("serve.answered", 1);
+  }
   Clock::time_point send_start = Clock::now();
   p.conn->send_line(line);
   Clock::time_point now = Clock::now();
@@ -1464,11 +1470,6 @@ void Server::respond(Pending& p, const std::string& line, bool answered) {
   for (std::size_t i = 0; i < kStageCount; ++i)
     entry.stage_ms[i] = stage_ms[i];
   telemetry_->record(std::move(entry));
-
-  if (answered) {
-    counters_->answered.fetch_add(1);
-    OCPS_OBS_COUNT("serve.answered", 1);
-  }
 }
 
 }  // namespace ocps::serve

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <sstream>
 
 #include "combinatorics/enumerate.hpp"
 #include "core/batch_engine.hpp"
@@ -80,6 +81,39 @@ TEST(BatchSweep, BitForBitIdenticalToPerGroupEvaluation) {
     if (::testing::Test::HasFailure()) {
       FAIL() << "first divergence at group " << g;
     }
+  }
+}
+
+TEST(BatchSweep, MethodSumsMatchRecordedBits) {
+  // BitForBitIdenticalToPerGroupEvaluation compares two paths that share
+  // one DP layer loop, so a bug in that loop would pass it. This pins
+  // each method's Σ group_mr over the same C = 64 suite to bits recorded
+  // with the full 0..C layer scan, which the feasible windows must
+  // reproduce exactly.
+  const std::size_t capacity = 64;
+  auto models = make_suite(capacity);
+  auto groups = all_subsets(16, 4);
+  SweepOptions opt;
+  opt.capacity = capacity;
+  auto sweep = sweep_groups(models, groups, opt);
+  ASSERT_EQ(sweep.size(), 1820u);
+
+  const double want[kNumMethods] = {
+      0x1.3288997bd4678p+10,  // Equal
+      0x1.38efc99642ef4p+10,  // Natural
+      0x1.19ade147f9a44p+10,  // Equal baseline
+      0x1.1996fea509fa7p+10,  // Natural baseline
+      0x1.0c3bb425501b4p+10,  // Optimal
+      0x1.18aef0080f129p+10,  // STTW
+  };
+  for (std::size_t m = 0; m < kNumMethods; ++m) {
+    double sum = 0.0;
+    for (const GroupEvaluation& g : sweep) sum += g.methods[m].group_mr;
+    std::ostringstream got;
+    got << std::hexfloat << sum;
+    EXPECT_TRUE(same_bits(sum, want[m]))
+        << method_name(static_cast<Method>(m)) << ": Σ group_mr = "
+        << got.str();
   }
 }
 

@@ -1,6 +1,10 @@
 // Tests for the DP optimal partitioner and the STTW comparator.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "combinatorics/enumerate.hpp"
+#include "core/batch_engine.hpp"
 #include "core/dp_partition.hpp"
 #include "core/sttw.hpp"
 #include "util/check.hpp"
@@ -97,6 +101,164 @@ TEST_P(DpOracleProperty, MatchesExhaustiveSearch) {
   ASSERT_TRUE(dp.feasible);
   ASSERT_TRUE(brute.feasible);
   EXPECT_NEAR(dp.objective_value, brute.objective_value, 1e-12);
+}
+
+// Cost-row shapes for the bounded oracle: convex (shrinking steps),
+// cliffed, flat with exact ties (a few quantized levels), and near-zero
+// (tiny values and exact zeros).
+std::vector<double> shaped_cost_curve(Rng& rng, std::size_t capacity,
+                                      int shape) {
+  if (shape == 1) return random_cost_curve(rng, capacity, true);
+  std::vector<double> cost(capacity + 1);
+  double v = 1.0, step = 0.05 + 0.2 * rng.uniform();
+  for (std::size_t c = 0; c <= capacity; ++c) {
+    switch (shape) {
+      case 0:
+        cost[c] = v;
+        v = std::max(0.0, v - step);
+        step *= 0.5 + 0.4 * rng.uniform();
+        break;
+      case 2:
+        cost[c] = 0.25 * static_cast<double>(rng.below(3));
+        break;
+      default:
+        cost[c] = rng.chance(0.3) ? 0.0 : 1e-13 * rng.uniform();
+        break;
+    }
+  }
+  return cost;
+}
+
+double objective_of(CostMatrixView cost, const std::vector<std::size_t>& alloc,
+                    DpObjective objective) {
+  double v = cost(0, alloc[0]);
+  for (std::size_t i = 1; i < alloc.size(); ++i)
+    v = objective == DpObjective::kSumCost ? v + cost(i, alloc[i])
+                                           : std::max(v, cost(i, alloc[i]));
+  return v;
+}
+
+// Random per-program bounds of one kind: 0 lower bounds only, 1 Σlo = C
+// exactly, 2 Σlo > C, 3 some lo > hi, 4 upper bounds below C (with lower
+// bounds), 5 upper bounds only.
+DpOptions random_bounds(Rng& rng, std::size_t p, std::size_t cap, int kind,
+                        DpObjective objective) {
+  DpOptions opt;
+  opt.objective = objective;
+  if (kind != 5) {
+    opt.min_alloc.assign(p, 0);
+    for (auto& lo : opt.min_alloc) lo = rng.below(cap / p + 2);
+  }
+  if (kind == 1 || kind == 2) {
+    std::size_t sum = 0;
+    for (std::size_t i = 0; i + 1 < p; ++i) {
+      opt.min_alloc[i] = std::min(opt.min_alloc[i], cap - sum);
+      sum += opt.min_alloc[i];
+    }
+    opt.min_alloc[p - 1] = cap - sum + (kind == 2 ? 1 + rng.below(3) : 0);
+  }
+  if (kind >= 3) {
+    opt.max_alloc.assign(p, cap);
+    for (auto& hi : opt.max_alloc) hi = rng.below(cap + 1);
+  }
+  if (kind == 3) {
+    const std::size_t i = rng.below(p);
+    opt.min_alloc[i] = opt.max_alloc[i] + 1 + rng.below(2);
+  }
+  return opt;
+}
+
+// Property: with random per-program bounds of every kind, the windowed DP
+// agrees with the exhaustive oracle on feasibility and objective, and its
+// allocation honours the bounds and sums to C. The bool parameter mixes
+// row shapes within one matrix instead of using one shape for all rows.
+TEST_P(DpOracleProperty, BoundedRowsOfEveryShapeMatchExhaustiveSearch) {
+  auto [seed, mixed, objective] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(seed) * 104729 + 7);
+  for (int shape = 0; shape < 4; ++shape) {
+    for (int kind = 0; kind < 6; ++kind) {
+      const std::size_t p = 1 + rng.below(4);  // 1..4 programs
+      const std::size_t cap = rng.below(25);   // 0..24 units
+      CostMatrix cost(p, cap);
+      for (std::size_t i = 0; i < p; ++i) {
+        auto row = shaped_cost_curve(
+            rng, cap, mixed ? static_cast<int>(rng.below(4)) : shape);
+        std::copy(row.begin(), row.end(), cost.row(i));
+      }
+      DpOptions opt = random_bounds(rng, p, cap, kind, objective);
+      SCOPED_TRACE(::testing::Message() << "shape " << shape << " kind "
+                                        << kind << " P=" << p << " C=" << cap);
+      DpResult dp = optimize_partition(cost.view(), cap, opt);
+      DpResult brute = optimize_partition_exhaustive(cost.view(), cap, opt);
+      ASSERT_EQ(dp.feasible, brute.feasible);
+      if (kind == 2 || kind == 3) {
+        EXPECT_FALSE(dp.feasible);
+      }
+      if (!dp.feasible) continue;
+      EXPECT_NEAR(dp.objective_value, brute.objective_value, 1e-12);
+      ASSERT_EQ(dp.alloc.size(), p);
+      std::size_t total = 0;
+      for (std::size_t i = 0; i < p; ++i) {
+        if (!opt.min_alloc.empty()) {
+          EXPECT_GE(dp.alloc[i], opt.min_alloc[i]);
+        }
+        if (!opt.max_alloc.empty()) {
+          EXPECT_LE(dp.alloc[i], opt.max_alloc[i]);
+        }
+        total += dp.alloc[i];
+      }
+      EXPECT_EQ(total, cap);
+      EXPECT_NEAR(objective_of(cost.view(), dp.alloc, objective),
+                  dp.objective_value, 1e-12);
+    }
+  }
+}
+
+// Property: one PrefixDpSolver over lex-ordered groups of an 8-row table
+// answers exactly like a fresh optimize_partition on the gathered view.
+// Prefix lower bounds depend only on (member, position), so consecutive
+// groups share cached layers, while the last position's bound changes
+// from solve to solve: each group is solved with a random last bound and
+// then with none, so a layer cached under a tall suffix (a low top
+// state) is offered to a solve that needs states above it.
+TEST_P(DpOracleProperty, PrefixSolverMatchesFreshSolvesAsSuffixBoundsChange) {
+  auto [seed, mixed, objective] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(seed) * 6151 + 3);
+  const std::size_t cap = 8 + rng.below(17);  // 8..24 units
+  CostMatrix table(8, cap);
+  for (std::size_t i = 0; i < 8; ++i) {
+    auto row = shaped_cost_curve(
+        rng, cap, mixed ? static_cast<int>(rng.below(4)) : seed % 4);
+    std::copy(row.begin(), row.end(), table.row(i));
+  }
+  std::size_t prefix_lo[8][4];
+  for (auto& per_member : prefix_lo)
+    for (auto& lo : per_member) lo = rng.below(cap / 8 + 2);
+
+  PrefixDpSolver solver;
+  solver.configure(table.view(), cap, objective);
+  std::vector<const double*> rows;
+  DpResult cached;
+  for (std::uint32_t k = 2; k <= 4; ++k) {
+    for (const auto& members : all_subsets(8, k)) {
+      for (int pass = 0; pass < 2; ++pass) {
+        DpOptions opt;
+        opt.objective = objective;
+        for (std::size_t j = 0; j + 1 < k; ++j)
+          opt.min_alloc.push_back(prefix_lo[members[j]][j]);
+        opt.min_alloc.push_back(pass == 0 ? rng.below(cap + 2) : 0);
+        solver.solve(members.data(), k, opt.min_alloc.data(), cached);
+        DpResult fresh = optimize_partition(
+            table.gather(members.data(), k, rows), cap, opt);
+        ASSERT_EQ(cached.feasible, fresh.feasible)
+            << "group of " << k << " starting at " << members[0];
+        EXPECT_EQ(cached.alloc, fresh.alloc);
+        EXPECT_EQ(0, std::memcmp(&cached.objective_value,
+                                 &fresh.objective_value, sizeof(double)));
+      }
+    }
+  }
+  EXPECT_GT(solver.stats().layers_reused, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

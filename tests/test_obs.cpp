@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/batch_engine.hpp"
 #include "obs/obs.hpp"
 #include "obs/slo.hpp"
 #include "runtime/controller.hpp"
@@ -400,6 +401,48 @@ TEST_F(ObsTest, ControllerEmitsOneSpanPerEpochStage) {
   EXPECT_EQ(applies, epochs);
   EXPECT_EQ(obs::counter("controller.epochs").value(), epochs);
   EXPECT_GT(obs::histogram("dp.solve_ns").count(), 0u);
+}
+
+// ------------------------------------------------- DP work accounting
+
+TEST_F(ObsTest, DpWorkIsAccountedOncePerSolveOnEveryPath) {
+  // The prefix solver (sweep, serve, controller) reports through the
+  // same counters as optimize_partition: dp.cells advances by exactly
+  // the cells the solver says it examined, one dp.solves per solve.
+  CostMatrix costs(5, 64);
+  for (std::size_t i = 0; i < 5; ++i)
+    for (std::size_t c = 0; c <= 64; ++c)
+      costs(i, c) = 1.0 / static_cast<double>(1 + c + 3 * i);
+  PrefixDpSolver solver;
+  solver.configure(costs.view(), 64, DpObjective::kSumCost);
+  const std::uint32_t groups[3][3] = {{0, 1, 2}, {0, 1, 3}, {1, 2, 4}};
+  const std::size_t lo[3] = {10, 5, 20};
+  DpResult out;
+  for (const auto& members : groups) {
+    solver.solve(members, 3, nullptr, out);
+    solver.solve(members, 3, lo, out);
+  }
+  EXPECT_EQ(obs::counter("dp.cells").value(), solver.stats().cells);
+  EXPECT_EQ(obs::counter("dp.solves").value(), solver.stats().solves);
+  EXPECT_EQ(obs::histogram("dp.solve_ns").count(), solver.stats().solves);
+
+  // One controller epoch, one solve: dp.solves comes from the solver
+  // alone, not from the controller as well.
+  obs::reset_metrics();
+  obs::clear_trace_events();
+  Trace a = make_cyclic(30000, 64);
+  Trace b = make_sawtooth(30000, 128);
+  InterleavedTrace mix = interleave_proportional({a, b}, {1.0, 1.0}, 60000);
+  ControllerConfig config;
+  config.capacity = 256;
+  config.epoch_length = 10000;
+  run_online_controller(mix, 2, config, {});
+  std::uint64_t dp_solve_spans = 0;
+  for (const auto& e : obs::trace_events())
+    if (std::string(e.name) == "dp_solve") ++dp_solve_spans;
+  ASSERT_GT(dp_solve_spans, 0u);
+  EXPECT_EQ(obs::counter("dp.solves").value(), dp_solve_spans);
+  EXPECT_EQ(obs::histogram("dp.solve_ns").count(), dp_solve_spans);
 }
 
 // ------------------------------------------- quantiles & exposition

@@ -21,13 +21,17 @@ against ``BENCH_dp_speed.json``'s ``microbenchmarks_after_ms`` table and
 Malformed input — truncated or non-JSON results, a baseline without the
 expected tables — exits 1 with a one-line diagnosis, never a traceback.
 
-Absolute times move with the runner's CPU, so the gate also checks two
+Absolute times move with the runner's CPU, so the gate also checks three
 machine-independent anchors measured within the same run:
 
 * the *ratio* of the batched sweep to the per-group sweep (the committed
-  baseline has batched ≈ 2× faster), and
+  baseline has batched ≈ 2× faster),
 * the *ratio* of the AVX2 forward-layer kernel to the scalar reference
-  (baseline ≈ 3.4× faster).
+  (baseline ≈ 3.4× faster), and
+* the *ratio* of a baseline-bounded solve (lower bounds summing to 0.92·C)
+  to an unbounded one of the same size: the DP scans only the feasible
+  window of each layer, so the bounded solve is ≈ 65× faster; dropping
+  the window puts the ratio near 1.
 
 If a measured ratio loses more than ``--threshold`` of the committed
 advantage, the engine (or kernel) itself regressed no matter how fast
@@ -206,6 +210,9 @@ def main() -> int:
         ("avx2/scalar kernel ratio",
          "BM_ForwardLayerAvx2/1024", "BM_ForwardLayerScalar/1024",
          "the SIMD kernel advantage itself regressed"),
+        ("bounded/unbounded DP ratio",
+         "BM_DpBaselineBounds/1024", "BM_DpPartition/4/1024",
+         "bounded solves no longer scan only the feasible window"),
     ]
     for label, num, den, blame in anchors:
         if num in skipped or den in skipped:
