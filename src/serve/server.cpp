@@ -58,10 +58,10 @@ double ms_since(Clock::time_point start, Clock::time_point end) {
 }
 
 // Stage names of the per-request latency decomposition, in pipeline
-// order. Indexes match Telemetry::stage() and SlowEntry::stage_ms.
-constexpr std::size_t kStageCount = 5;
-constexpr const char* kStageNames[kStageCount] = {
-    "queue_wait", "batch_linger", "solve", "serialize", "network"};
+// order. Indexes match Telemetry::stage and SlowEntry::stage_ms.
+constexpr std::size_t kStageCount = 4;
+constexpr const char* kStageNames[kStageCount] = {"queue_wait", "solve",
+                                                  "serialize", "network"};
 
 }  // namespace
 
@@ -199,17 +199,13 @@ struct Server::Telemetry {
     /// Per-stage decomposition of latency_ms, indexed by kStageNames.
     /// The stages sum to latency_ms (respond() computes queue_wait as
     /// the remainder, so the identity holds by construction).
-    double stage_ms[kStageCount] = {0.0, 0.0, 0.0, 0.0, 0.0};
+    double stage_ms[kStageCount] = {};
   };
 
   obs::WindowedHistogram window;
   /// Per-stage sliding windows behind serve.stage.<name>.window.*
-  /// gauges. Same window as the end-to-end one.
-  obs::WindowedHistogram stage_queue_wait;
-  obs::WindowedHistogram stage_batch_linger;
-  obs::WindowedHistogram stage_solve;
-  obs::WindowedHistogram stage_serialize;
-  obs::WindowedHistogram stage_network;
+  /// gauges, indexed by kStageNames. Same window as the end-to-end one.
+  obs::WindowedHistogram stage[kStageCount];
   /// Sliding window of |prediction error| in ppm, fed by `reconcile`;
   /// behind the dp.prediction_error.window.* gauges.
   obs::WindowedHistogram window_prediction_error;
@@ -219,24 +215,13 @@ struct Server::Telemetry {
 
   Telemetry(unsigned window_s, std::size_t cap)
       : window(window_s),
-        stage_queue_wait(window_s),
-        stage_batch_linger(window_s),
-        stage_solve(window_s),
-        stage_serialize(window_s),
-        stage_network(window_s),
+        stage{obs::WindowedHistogram(window_s),
+              obs::WindowedHistogram(window_s),
+              obs::WindowedHistogram(window_s),
+              obs::WindowedHistogram(window_s)},
         window_prediction_error(window_s),
         capacity(cap) {
     entries.reserve(cap);
-  }
-
-  obs::WindowedHistogram& stage(std::size_t i) {
-    switch (i) {
-      case 0: return stage_queue_wait;
-      case 1: return stage_batch_linger;
-      case 2: return stage_solve;
-      case 3: return stage_serialize;
-      default: return stage_network;
-    }
   }
 
   void record(SlowEntry e) {
@@ -323,7 +308,6 @@ Server::Server(ServeConfig config, std::vector<ProgramModel> models)
   OCPS_CHECK(config_.max_batch > 0, "serve: max_batch must be positive");
   OCPS_CHECK(config_.queue_capacity > 0,
              "serve: queue_capacity must be positive");
-  OCPS_CHECK(config_.linger.count() >= 0, "serve: linger must be >= 0");
   OCPS_CHECK(config_.default_deadline_ms >= 0.0 &&
                  std::isfinite(config_.default_deadline_ms),
              "serve: default_deadline_ms must be finite and >= 0");
@@ -885,7 +869,7 @@ void Server::refresh_latency_gauges() {
   for (std::size_t i = 0; i < kStageCount; ++i) {
     std::string base = std::string("serve.stage.") + kStageNames[i];
     obs::HistogramSnapshot stage_window =
-        telemetry_->stage(i).snapshot(base + ".window");
+        telemetry_->stage[i].snapshot(base + ".window");
     obs::gauge(base + ".window.p50")
         .set(obs::histogram_quantile(stage_window, 0.5));
     obs::gauge(base + ".window.p99")
@@ -1110,45 +1094,28 @@ void Server::batch_loop() {
         if (producers_done_.load()) break;
         continue;
       }
-      const bool draining = stopping_.load();
       // Test seam: admit but do not drain while held (never during the
       // shutdown drain, which must always make progress).
-      if (!draining && config_.hold_batching &&
+      if (!stopping_.load() && config_.hold_batching &&
           config_.hold_batching->load()) {
         lock.unlock();
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
         continue;
       }
-      // Stage attribution: [collect_start, collect_end] brackets the
-      // deliberate linger; respond() charges it to batch_linger and
-      // everything else a request waited to queue_wait.
-      Clock::time_point collect_start = Clock::now();
-      if (!draining) {
-        // Linger: give the batch a chance to fill before solving, so
-        // concurrent clients coalesce and the DP prefix reuse has
-        // something to share.
-        Clock::time_point linger_until = collect_start + config_.linger;
-        while (!stopping_.load() && queue_.size() < config_.max_batch) {
-          Clock::time_point now = Clock::now();
-          if (now >= linger_until) break;
-          queue_cv_.wait_until(
-              lock, std::min(linger_until,
-                             now + std::chrono::milliseconds(kPollMs)));
-        }
-      }
-      Clock::time_point collect_end = Clock::now();
+      // Group commit: take whatever queued while the solver was busy, up
+      // to max_batch, and solve it now. A lone request never waits for
+      // company; concurrent clients still coalesce, because requests
+      // arriving during a solve ride the next batch together.
       std::size_t take = std::min(queue_.size(), config_.max_batch);
       batch.reserve(take);
       for (std::size_t i = 0; i < take; ++i) {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
-        batch.back().collect_start = collect_start;
-        batch.back().collect_end = collect_end;
       }
       OCPS_OBS_GAUGE("serve.queue_depth",
                      static_cast<double>(queue_.size()));
     }
-    if (!batch.empty()) process_batch(batch, solver);
+    process_batch(batch, solver);
   }
 }
 
@@ -1427,25 +1394,22 @@ void Server::respond(Pending& p, const std::string& line, bool answered) {
   OCPS_OBS_HIST("serve.request_latency", ms);
   if (obs::enabled()) telemetry_->window.observe(ms);
 
-  // Stage decomposition. batch_linger is the deliberate coalescing wait
-  // (bounded by --linger-ms); solve / serialize / network come straight
-  // from the stamps; queue_wait is the remainder — queue backlog plus
-  // intra-batch ordering — so the five stages sum to latency_ms exactly
+  // Stage decomposition. solve / serialize / network come straight from
+  // the stamps; queue_wait is the remainder — queue backlog plus
+  // intra-batch ordering — so the four stages sum to latency_ms exactly
   // (modulo floating rounding), which the tests pin within an epsilon.
   double stage_ms[kStageCount];
-  stage_ms[1] = std::max(
-      0.0, ms_since(std::max(p.enqueued, p.collect_start), p.collect_end));
-  stage_ms[2] = std::max(0.0, ms_since(p.solve_start, p.serialize_start));
-  stage_ms[3] = std::max(0.0, ms_since(p.serialize_start, send_start));
-  stage_ms[4] = std::max(0.0, ms_since(send_start, now));
-  stage_ms[0] = std::max(
-      0.0, ms - stage_ms[1] - stage_ms[2] - stage_ms[3] - stage_ms[4]);
+  stage_ms[1] = std::max(0.0, ms_since(p.solve_start, p.serialize_start));
+  stage_ms[2] = std::max(0.0, ms_since(p.serialize_start, send_start));
+  stage_ms[3] = std::max(0.0, ms_since(send_start, now));
+  stage_ms[0] =
+      std::max(0.0, ms - stage_ms[1] - stage_ms[2] - stage_ms[3]);
   if (obs::enabled()) {
     for (std::size_t i = 0; i < kStageCount; ++i) {
       std::string name = std::string("serve.stage.") + kStageNames[i];
       obs::histogram(name).observe(stage_ms[i]);
       obs::note_exemplar(name, stage_ms[i], p.req.trace_id);
-      telemetry_->stage(i).observe(stage_ms[i]);
+      telemetry_->stage[i].observe(stage_ms[i]);
     }
     obs::note_exemplar("serve.request_latency", ms, p.req.trace_id);
   }

@@ -15,11 +15,12 @@
 //   * solver requests enter a bounded queue — admission control: when the
 //     queue is full the request is shed immediately with 429 instead of
 //     growing the backlog (load-shedding beats unbounded latency);
-//   * the batching thread coalesces up to `max_batch` requests (waiting
-//     at most `linger` after the first), sorts them for DP prefix reuse,
-//     and answers each; per-request deadlines are honored cooperatively —
-//     checked before each solve and per group inside the sweep loop — and
-//     expired requests get 504;
+//   * group commit: whenever the batching thread is free it takes
+//     whatever has queued, up to `max_batch` (a lone request is solved at
+//     once; requests arriving during a solve ride the next batch), sorts
+//     them for DP prefix reuse, and answers each; per-request deadlines
+//     are honored cooperatively — checked before each solve and per group
+//     inside the sweep loop — and expired requests get 504;
 //   * `reload` builds a complete candidate profile set first — every file
 //     re-validated through the PR 1 sanitizer — and atomically swaps it
 //     in only when every profile is good; any bad profile rejects the
@@ -71,8 +72,7 @@ struct ServeConfig {
   std::string listen_address;
   std::size_t capacity = 1024;   ///< default / maximum cache size in units
   std::size_t max_batch = 64;    ///< max solver requests per batch
-  std::chrono::milliseconds linger{2};  ///< max wait to fill a batch
-  std::size_t queue_capacity = 256;     ///< admission-control bound
+  std::size_t queue_capacity = 256;  ///< admission-control bound
   std::size_t threads = 0;       ///< sweep width (0 = auto, see SweepOptions)
   double default_deadline_ms = 0.0;  ///< per-request default; 0 = none
 
@@ -223,12 +223,8 @@ class Server {
     /// time_point::max() when the request has no deadline.
     std::chrono::steady_clock::time_point deadline;
     /// Stage-attribution stamps (respond() turns these into the
-    /// queue_wait / batch_linger / solve / serialize / network stage
-    /// histograms): when the batcher started collecting the batch this
-    /// request rode in, when it stopped lingering, when this request's
-    /// solve began, and when response serialization began.
-    std::chrono::steady_clock::time_point collect_start;
-    std::chrono::steady_clock::time_point collect_end;
+    /// queue_wait / solve / serialize / network stage histograms): when
+    /// this request's solve began, and when response serialization began.
     std::chrono::steady_clock::time_point solve_start;
     std::chrono::steady_clock::time_point serialize_start;
   };

@@ -28,6 +28,7 @@
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "serve/socket_util.hpp"
 #include "trace/generators.hpp"
 #include "util/check.hpp"
 
@@ -107,6 +108,24 @@ std::string http_get(int port, const std::string& path) {
     out.append(buf, static_cast<std::size_t>(n));
   ::close(fd);
   return out;
+}
+
+/// Repeats `call` until `done` holds for its answer, or five seconds
+/// pass, and returns the last answer. The batching thread records a
+/// request's latency histograms and slowlog row only after writing its
+/// answer (they include that write), while the reader answers `metrics`
+/// and `slowlog` inline, so a test reading them back must wait.
+template <typename Call, typename Done>
+Result<Response> poll_until(Call call, Done done) {
+  Result<Response> r = call();
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (r.ok() && r.value().ok && !done(r.value()) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    r = call();
+  }
+  return r;
 }
 
 class ServeTest : public ::testing::Test {
@@ -471,6 +490,83 @@ TEST_F(ServeTest, DrainAnswersEveryAdmittedRequest) {
 #endif
 }
 
+TEST_F(ServeTest, GroupCommitCoalescesQueuedRequests) {
+  std::atomic<bool> hold{true};
+  ServeConfig config;
+  config.socket_path = unique_socket_path("groupcommit");
+  config.capacity = kCapacity;
+  config.max_batch = 4;
+  config.hold_batching = &hold;
+  Server server(config, make_models());
+  ASSERT_TRUE(server.start().ok());
+
+  // Pipeline six partitions on one raw connection while the batcher is
+  // held, so all six are queued before the solver is free.
+  Result<Endpoint> ep = parse_endpoint(config.socket_path);
+  ASSERT_TRUE(ep.ok());
+  Result<int> fd = connect_endpoint(ep.value(), std::chrono::seconds(5));
+  ASSERT_TRUE(fd.ok()) << fd.error().to_string();
+  const int kRequests = 6;
+  std::string lines;
+  for (int i = 0; i < kRequests; ++i)
+    lines += partition_request(200 + i, {"prog0", "prog1"}).dump() + "\n";
+  ASSERT_TRUE(send_all(fd.value(), lines.data(), lines.size(),
+                       std::chrono::seconds(5)));
+  for (int spin = 0; spin < 500 && server.queue_depth() < kRequests; ++spin)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_EQ(server.queue_depth(), static_cast<std::size_t>(kRequests));
+  const Server::Counters before = server.counters();
+
+  // Released outside the drain, the free solver takes whatever has
+  // queued, up to max_batch: one batch of four, then one of two.
+  hold.store(false);
+  std::vector<std::int64_t> ids;
+  std::string buffer;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ids.size() < static_cast<std::size_t>(kRequests) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::size_t nl = buffer.find('\n');
+    if (nl != std::string::npos) {
+      Result<Response> r = parse_response(buffer.substr(0, nl));
+      buffer.erase(0, nl + 1);
+      ASSERT_TRUE(r.ok()) << r.error().to_string();
+      EXPECT_TRUE(r.value().ok) << r.value().error;
+      ids.push_back(r.value().id);
+      continue;
+    }
+    char chunk[4096];
+    ssize_t n = ::read(fd.value(), chunk, sizeof(chunk));
+    if (n > 0)
+      buffer.append(chunk, static_cast<std::size_t>(n));
+    else if (n == 0)
+      break;
+    else
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ::close(fd.value());
+  ASSERT_EQ(ids.size(), static_cast<std::size_t>(kRequests));
+  std::sort(ids.begin(), ids.end());
+  for (int i = 0; i < kRequests; ++i) EXPECT_EQ(ids[i], 200 + i);
+  const Server::Counters after = server.counters();
+  EXPECT_EQ(after.batches - before.batches, 2u);
+  EXPECT_EQ(after.answered - before.answered,
+            static_cast<std::uint64_t>(kRequests));
+
+#ifndef OCPS_OBS_DISABLED
+  bool seen = false;
+  for (const auto& h : obs::metrics_snapshot().histograms) {
+    if (h.name != "serve.batch_size") continue;
+    seen = true;
+    EXPECT_EQ(h.sum, static_cast<double>(kRequests));
+  }
+  EXPECT_TRUE(seen);
+#endif
+
+  server.request_stop();
+  server.stop();
+}
+
 TEST_F(ServeTest, RequestsDuringDrainGet503) {
   ServeConfig config;
   config.socket_path = unique_socket_path("draining503");
@@ -600,7 +696,13 @@ TEST_F(ServeTest, MetricsOpExposesRegistryAndPercentiles) {
                   .call(partition_request(2, {"prog1", "prog2"}))
                   .ok());
 
-  Result<Response> r = client.value().call(R"({"id":3,"op":"metrics"})");
+  // serve.request_latency sees answer 2 only after it is written.
+  Result<Response> r = poll_until(
+      [&] { return client.value().call(R"({"id":3,"op":"metrics"})"); },
+      [](const Response& m) {
+        return m.body.get_string("prometheus", "").find(
+                   "serve_request_latency_count 2") != std::string::npos;
+      });
   ASSERT_TRUE(r.ok());
 #ifdef OCPS_OBS_DISABLED
   // Compiled out, the op still answers the protocol — with the explicit
@@ -1001,9 +1103,8 @@ TEST_F(ServeTest, ChaosResetDropsConnectionButClientRetriesThrough) {
 // ---------------------------------------------------------------------------
 // Per-stage latency attribution, distributed tracing, and SLOs.
 
-constexpr const char* kStageFields[] = {"queue_wait_ms", "batch_linger_ms",
-                                        "solve_ms", "serialize_ms",
-                                        "network_ms"};
+constexpr const char* kStageFields[] = {"queue_wait_ms", "solve_ms",
+                                        "serialize_ms", "network_ms"};
 
 TEST_F(ServeTest, SlowlogRowsCarryStageDecompositionSummingToLatency) {
   ServeConfig config;
@@ -1021,7 +1122,13 @@ TEST_F(ServeTest, SlowlogRowsCarryStageDecompositionSummingToLatency) {
     ASSERT_TRUE(r.value().ok) << r.value().error;
   }
 
-  Result<Response> r = client.value().call(R"({"id":9,"op":"slowlog"})");
+  // The third row is recorded only after answer 3 is written.
+  Result<Response> r = poll_until(
+      [&] { return client.value().call(R"({"id":9,"op":"slowlog"})"); },
+      [](const Response& log) {
+        const json::Value* rows = log.body.find("slowlog");
+        return rows != nullptr && rows->as_array().size() == 3;
+      });
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.value().ok) << r.value().error;
   const json::Value* rows = r.value().body.find("slowlog");
@@ -1032,10 +1139,10 @@ TEST_F(ServeTest, SlowlogRowsCarryStageDecompositionSummingToLatency) {
     EXPECT_EQ(row.get_string("op", ""), "partition");
     double latency = row.get_number("latency_ms", -1.0);
     ASSERT_GE(latency, 0.0);
-    // …with the five stage fields appended, each non-negative, and the
+    // …with the four stage fields appended, each non-negative, and the
     // decomposition reconciling with the end-to-end latency: queue_wait
     // is computed as the remainder, so the identity is exact up to
-    // floating rounding.
+    // floating rounding. Group commit has no fifth (linger) stage.
     double sum = 0.0;
     for (const char* field : kStageFields) {
       double v = row.get_number(field, -1.0);
@@ -1043,6 +1150,7 @@ TEST_F(ServeTest, SlowlogRowsCarryStageDecompositionSummingToLatency) {
       sum += v;
     }
     EXPECT_NEAR(sum, latency, 1e-6);
+    EXPECT_EQ(row.find("batch_linger_ms"), nullptr);
   }
 
   server.request_stop();
@@ -1210,7 +1318,14 @@ TEST_F(ServeTest, MetricsExposeStageSeriesAndSloGauges) {
   tagged.trace_id = 555;
   ASSERT_TRUE(client.value().call(encode_request(tagged)).ok());
 
-  Result<Response> r = client.value().call(R"({"id":2,"op":"metrics"})");
+  // The stage histograms see the answer only after it is written;
+  // network is the last of them.
+  Result<Response> r = poll_until(
+      [&] { return client.value().call(R"({"id":2,"op":"metrics"})"); },
+      [](const Response& m) {
+        return m.body.get_string("prometheus", "").find(
+                   "serve_stage_network_count 1") != std::string::npos;
+      });
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.value().ok) << r.value().error;
   const json::Value* metrics = r.value().body.find("metrics");
@@ -1221,13 +1336,13 @@ TEST_F(ServeTest, MetricsExposeStageSeriesAndSloGauges) {
   const json::Value* hists = metrics->find("histograms");
   ASSERT_NE(hists, nullptr);
   for (const char* stage :
-       {"serve.stage.queue_wait", "serve.stage.batch_linger",
-        "serve.stage.solve", "serve.stage.serialize",
-        "serve.stage.network"}) {
+       {"serve.stage.queue_wait", "serve.stage.solve",
+        "serve.stage.serialize", "serve.stage.network"}) {
     const json::Value* h = hists->find(stage);
     ASSERT_NE(h, nullptr) << stage;
     EXPECT_EQ(h->get_number("count", 0.0), 1.0) << stage;
   }
+  EXPECT_EQ(hists->find("serve.stage.batch_linger"), nullptr);
   const json::Value* gauges = metrics->find("gauges");
   ASSERT_NE(gauges, nullptr);
   for (const char* g :

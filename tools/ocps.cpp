@@ -128,7 +128,6 @@ commands:
       --io-timeout-ms T  per-connection read/write timeout (5000)
       --capacity C     default / maximum cache size in blocks (1024)
       --max-batch N    max solver requests coalesced per batch (64)
-      --linger-ms L    max wait to fill a batch, milliseconds (2)
       --queue-cap N    admission bound; beyond it requests shed 429 (256)
       --threads N      sweep threads; 0 = auto (0)
       --deadline-ms D  default per-request deadline; 0 = none (0)
@@ -767,7 +766,6 @@ int cmd_serve(const ArgParser& args) {
       std::chrono::milliseconds(args.get_int("io-timeout-ms", 5000));
   config.capacity = static_cast<std::size_t>(args.get_int("capacity", 1024));
   config.max_batch = static_cast<std::size_t>(args.get_int("max-batch", 64));
-  config.linger = std::chrono::milliseconds(args.get_int("linger-ms", 2));
   config.queue_capacity =
       static_cast<std::size_t>(args.get_int("queue-cap", 256));
   config.threads = static_cast<std::size_t>(args.get_int("threads", 0));
@@ -1635,8 +1633,8 @@ int cmd_top(const ArgParser& args) {
                      num("gauges", "serve.request_latency.window.p99"), 3)
               << "   (last " << window_s << "s)\n";
     frame_out << "  stage p99   ";
-    static const char* kStages[] = {"queue_wait", "batch_linger", "solve",
-                                    "serialize", "network"};
+    static const char* kStages[] = {"queue_wait", "solve", "serialize",
+                                    "network"};
     for (const char* stage : kStages)
       frame_out << stage << " "
                 << TextTable::num(
@@ -1697,12 +1695,11 @@ int main(int argc, char** argv) {
         "metrics-out", "socket", "timeout-ms"}},
       {"serve",
        {"socket", "listen", "max-conns", "io-timeout-ms", "capacity",
-        "max-batch", "linger-ms", "queue-cap", "threads", "deadline-ms",
-        "metrics-port", "slowlog-cap", "window-s", "slo-p99-ms",
-        "slo-availability", "decision-log-cap", "drift-alpha",
-        "drift-threshold", "trace-out", "metrics-out", "chaos-accept-fail",
-        "chaos-reset", "chaos-trickle", "chaos-stall", "chaos-stall-ms",
-        "chaos-seed"}},
+        "max-batch", "queue-cap", "threads", "deadline-ms", "metrics-port",
+        "slowlog-cap", "window-s", "slo-p99-ms", "slo-availability",
+        "decision-log-cap", "drift-alpha", "drift-threshold", "trace-out",
+        "metrics-out", "chaos-accept-fail", "chaos-reset", "chaos-trickle",
+        "chaos-stall", "chaos-stall-ms", "chaos-seed"}},
       {"router",
        {"socket", "listen", "backends", "vnodes", "breaker-threshold",
         "breaker-cooldown-ms", "breaker-probes", "connect-timeout-ms",

@@ -206,18 +206,20 @@ else
 fi
 
 # Per-stage attribution: every slowlog row decomposes its latency into
-# the five stages, and the stages must reconcile with the total.
+# exactly the four stages, with no other stage field, and the stages must
+# reconcile with the total.
 check_slowlog_stages() {
   if command -v python3 > /dev/null; then
     python3 - "$1" <<'EOF'
 import json, sys
-stages = ("queue_wait_ms", "batch_linger_ms", "solve_ms",
-          "serialize_ms", "network_ms")
+stages = ("queue_wait_ms", "solve_ms", "serialize_ms", "network_ms")
 rows = json.load(open(sys.argv[1]))["slowlog"]
 assert rows, "slowlog is empty after tagged traffic"
 for row in rows:
+    fields = sorted(k for k in row if k.endswith("_ms")
+                    and k not in ("latency_ms", "deadline_slack_ms"))
+    assert fields == sorted(stages), f"slowlog stage fields {fields}: {row}"
     for stage in stages:
-        assert stage in row, f"slowlog row missing {stage}: {row}"
         assert row[stage] >= 0.0, f"negative stage time: {row}"
     total = sum(row[s] for s in stages)
     assert abs(total - row["latency_ms"]) < 1e-6, \
@@ -225,9 +227,14 @@ for row in rows:
 print(f"OK: {len(rows)} slowlog rows with stage sums matching latency")
 EOF
   else
-    grep -q '"solve_ms"' "$1"
-    grep -q '"queue_wait_ms"' "$1"
-    echo "OK (grep fallback): slowlog rows carry per-stage fields"
+    fields=$(grep -o '"[a-z_]*_ms"' "$1" | LC_ALL=C sort -u | tr '\n' ' ')
+    expected='"deadline_slack_ms" "latency_ms" "network_ms" "queue_wait_ms" '
+    expected+='"serialize_ms" "solve_ms" '
+    if [[ "$fields" != "$expected" ]]; then
+      echo "FAIL: slowlog rows carry fields $fields, expected $expected"
+      exit 1
+    fi
+    echo "OK (grep fallback): slowlog rows carry the four stage fields"
   fi
 }
 check_slowlog_stages "$workdir/slowlog.json"
@@ -245,7 +252,7 @@ EOF
     serve_requests serve_request_latency_bucket serve_request_latency_p50 \
     serve_request_latency_p95 serve_request_latency_p99 \
     serve_request_latency_window_p50 serve_queue_depth obs_spans_dropped \
-    serve_stage_queue_wait_bucket serve_stage_batch_linger_bucket \
+    serve_stage_queue_wait_bucket \
     serve_stage_solve_bucket serve_stage_serialize_bucket \
     serve_stage_network_bucket serve_stage_solve_window_p99 \
     serve_slo_latency_target serve_slo_latency_burn_5m \
