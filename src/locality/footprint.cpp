@@ -34,66 +34,88 @@ double FootprintCurve::inverse(double target) const {
 }
 
 PiecewiseLinear FootprintCurve::to_curve(std::size_t max_knots) const {
-  PiecewiseLinear dense = PiecewiseLinear::from_dense(fp);
-  if (max_knots == 0 || dense.size() <= max_knots) return dense;
+  if (max_knots == 0 || fp.size() <= max_knots)
+    return PiecewiseLinear::from_dense(fp);
   // Error-bounded simplification keeps footprint cliffs (phase boundaries)
   // that uniform decimation would smear into the wrong MRC.
-  return dense.simplify_to(0.005, max_knots);
+  return PiecewiseLinear::simplify_dense_to(fp, 0.005, max_knots);
 }
 
+namespace {
+
+// Positions must be strictly ascending within [1, n]: each access position
+// holds one datum's first (or last) access at most.
+void check_positions(const std::vector<std::uint64_t>& pos, std::uint64_t n,
+                     const char* what) {
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    OCPS_CHECK(pos[i] >= 1 && pos[i] <= n, "position " << pos[i] << " in "
+                                                      << what
+                                                      << " is outside [1, "
+                                                      << n << "]");
+    OCPS_CHECK(i == 0 || pos[i] > pos[i - 1],
+               "positions in " << what
+                               << " not strictly ascending at index " << i);
+  }
+}
+
+}  // namespace
+
 FootprintCurve footprint_from_profile(const ReuseProfile& p) {
-  FootprintCurve out;
-  out.trace_length = p.trace_length;
-  out.distinct = p.distinct;
   const std::uint64_t n = p.trace_length;
+  OCPS_CHECK(p.freq.size() >= 2 && p.freq.size() - 2 == n,
+             "reuse histogram has " << p.freq.size()
+                                    << " entries, want n + 2 for n = " << n);
+  OCPS_CHECK(p.first_pos.size() == p.distinct &&
+                 p.last_pos.size() == p.distinct,
+             "position lists must hold one entry per datum (m = "
+                 << p.distinct << ")");
+  check_positions(p.first_pos, n, "first_pos");
+  check_positions(p.last_pos, n, "last_pos");
+
+  FootprintCurve out;
+  out.trace_length = n;
+  out.distinct = p.distinct;
   out.fp.assign(n + 1, 0.0);
   if (n == 0) return out;
 
   const double m = static_cast<double>(p.distinct);
 
-  // Suffix sums over rt of freq and rt*freq, so that
-  //   A(w) = Σ_{rt >= w+2} (rt - 1 - w) freq(rt)
-  //        = U(w+2) - (w + 1) * T(w+2)
-  // with T(x) = Σ_{rt >= x} freq, U(x) = Σ_{rt >= x} rt * freq.
-  // first/last boundary terms use the same trick over f_k and n - l_k + 1.
-  const std::size_t lim = static_cast<std::size_t>(n) + 2;
-  std::vector<double> T(lim + 1, 0.0), U(lim + 1, 0.0);
-  std::vector<double> F(lim + 1, 0.0), FX(lim + 1, 0.0);
-  std::vector<double> L(lim + 1, 0.0), LX(lim + 1, 0.0);
-
-  // Histogram of h_k = n - l_k + 1 (trailing boundary contribution).
-  std::vector<std::uint64_t> trail(lim + 1, 0);
-  for (std::uint64_t pos = 1; pos <= n; ++pos) {
-    std::uint64_t cnt = p.last_count[pos];
-    if (cnt) trail[n - pos + 1] += cnt;
-  }
-
-  for (std::size_t x = lim - 1; x + 1 >= 1; --x) {
-    double f = (x < p.freq.size()) ? static_cast<double>(p.freq[x]) : 0.0;
-    T[x] = T[x + 1] + f;
-    U[x] = U[x + 1] + f * static_cast<double>(x);
-    double fc =
-        (x < p.first_count.size()) ? static_cast<double>(p.first_count[x]) : 0.0;
-    F[x] = F[x + 1] + fc;
-    FX[x] = FX[x + 1] + fc * static_cast<double>(x);
-    double lc = (x <= lim) ? static_cast<double>(trail[x]) : 0.0;
-    L[x] = L[x + 1] + lc;
-    LX[x] = LX[x + 1] + lc * static_cast<double>(x);
-    if (x == 0) break;
-  }
-
-  out.fp[0] = 0.0;
-  for (std::uint64_t w = 1; w <= n; ++w) {
-    double A = U[w + 2] - static_cast<double>(w + 1) * T[w + 2];
-    // Σ_k max(0, f_k - w) = FX(w+1) - w * F(w+1); same for trailing.
-    double B = FX[w + 1] - static_cast<double>(w) * F[w + 1];
-    double Cc = LX[w + 1] - static_cast<double>(w) * L[w + 1];
+  // One pass over w = n..1 extends six running sums by the terms that
+  // enter at w, so that
+  //   A(w) = Σ_{rt >= w+2} (rt - 1 - w) freq(rt) = U - (w + 1) * T
+  // with T = Σ_{rt >= w+2} freq, U = Σ_{rt >= w+2} rt * freq, and the
+  // first/last boundary terms use the same trick over f_k and
+  // h_k = n - l_k + 1 with x >= w + 1. Each sum adds its nonzero terms in
+  // descending order of x, exactly as a suffix-sum array would.
+  double T = 0.0, U = 0.0, F = 0.0, FX = 0.0, L = 0.0, LX = 0.0;
+  std::size_t next_first = p.first_pos.size();  // scans first_pos downward
+  std::size_t next_last = 0;                    // scans last_pos upward
+  for (std::uint64_t w = n; w >= 1; --w) {
+    if (w < n && p.freq[w + 2] != 0) {
+      const double f = static_cast<double>(p.freq[w + 2]);
+      T += f;
+      U += f * static_cast<double>(w + 2);
+    }
+    if (next_first > 0 && p.first_pos[next_first - 1] == w + 1) {
+      --next_first;
+      F += 1.0;
+      FX += static_cast<double>(w + 1);
+    }
+    if (next_last < p.last_pos.size() && p.last_pos[next_last] == n - w) {
+      ++next_last;
+      L += 1.0;
+      LX += static_cast<double>(w + 1);
+    }
+    double A = U - static_cast<double>(w + 1) * T;
+    // Σ_k max(0, f_k - w) = FX - w * F; same for trailing.
+    double B = FX - static_cast<double>(w) * F;
+    double Cc = LX - static_cast<double>(w) * L;
     double denom = static_cast<double>(n - w + 1);
-    double val = m - (A + B + Cc) / denom;
     // Numerical safety: fp must stay within [0, m] and non-decreasing.
-    val = std::clamp(val, 0.0, m);
-    out.fp[w] = std::max(val, out.fp[w - 1]);
+    out.fp[w] = std::clamp(m - (A + B + Cc) / denom, 0.0, m);
   }
+  for (std::uint64_t w = 1; w <= n; ++w)
+    out.fp[w] = std::max(out.fp[w], out.fp[w - 1]);
   return out;
 }
 

@@ -12,8 +12,11 @@
 //                             + Σ_k max(0, f_k - w)
 //                             + Σ_k max(0, n - l_k + 1 - w) ],
 //
-// evaluated for all w in O(n) with suffix sums. The brute-force definition
-// (averaging WSS(i, w) over all windows) is provided as a test oracle.
+// evaluated for all w in O(n) by one descending pass over w that keeps six
+// running sums (count and position-weighted count of each of the three
+// terms), then one forward pass that enforces monotonicity. No n-sized
+// array besides fp itself is needed. The brute-force definition (averaging
+// WSS(i, w) over all windows) is provided as a test oracle.
 #pragma once
 
 #include <vector>
@@ -37,11 +40,16 @@ struct FootprintCurve {
   /// non-decreasing, so this is the fill-time inverse used by HOTL.
   double inverse(double target) const;
 
-  /// Compact piecewise-linear form (for footprint files / composition).
+  /// Compact piecewise-linear form (for footprint files / composition):
+  /// every point when max_knots is 0 or fp already fits, otherwise the
+  /// Douglas-Peucker knots of PiecewiseLinear::simplify_to(0.005,
+  /// max_knots), computed over fp in place.
   PiecewiseLinear to_curve(std::size_t max_knots = 0) const;
 };
 
-/// Linear-time footprint from a reuse profile.
+/// Linear-time footprint from a reuse profile. Throws CheckError when the
+/// profile is malformed: freq not n + 2 long, position lists not m long,
+/// or positions not strictly ascending within [1, n].
 FootprintCurve footprint_from_profile(const ReuseProfile& profile);
 
 /// Convenience: profile + footprint in one call.

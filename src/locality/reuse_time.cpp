@@ -1,5 +1,6 @@
 #include "locality/reuse_time.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "util/check.hpp"
@@ -10,8 +11,6 @@ ReuseProfile profile_reuse(const Trace& trace) {
   ReuseProfile p;
   p.trace_length = trace.length();
   p.freq.assign(p.trace_length + 2, 0);
-  p.first_count.assign(p.trace_length + 2, 0);
-  p.last_count.assign(p.trace_length + 2, 0);
 
   std::unordered_map<Block, std::uint64_t> last_pos;  // 1-indexed
   last_pos.reserve(trace.length() / 4 + 16);
@@ -19,7 +18,7 @@ ReuseProfile profile_reuse(const Trace& trace) {
     Block b = trace.accesses[t - 1];
     auto [it, inserted] = last_pos.try_emplace(b, t);
     if (inserted) {
-      ++p.first_count[t];
+      p.first_pos.push_back(t);
     } else {
       std::uint64_t rt = t - it->second + 1;  // paper Eq. 4
       ++p.freq[rt];
@@ -27,10 +26,12 @@ ReuseProfile profile_reuse(const Trace& trace) {
     }
   }
   p.distinct = last_pos.size();
+  p.last_pos.reserve(last_pos.size());
   for (const auto& [block, pos] : last_pos) {
     (void)block;
-    ++p.last_count[pos];
+    p.last_pos.push_back(pos);
   }
+  std::sort(p.last_pos.begin(), p.last_pos.end());
   return p;
 }
 

@@ -6,7 +6,9 @@
 // together with each datum's first and last access positions, is a
 // sufficient statistic for the average footprint function — that is the
 // linear-time footprint formula of Xiang et al. implemented in
-// footprint.hpp.
+// footprint.hpp. The positions are kept as two ascending lists of m
+// entries each, not as n-long indicator arrays, so a profile costs the
+// histogram plus O(m).
 #pragma once
 
 #include <cstdint>
@@ -21,19 +23,21 @@ namespace ocps {
 struct ReuseProfile {
   std::uint64_t trace_length = 0;   ///< n
   std::uint64_t distinct = 0;       ///< m
-  /// freq[rt] = number of reuse pairs with reuse time rt; index 0 and 1
-  /// are always zero (minimum reuse time is 2: adjacent accesses).
+  /// freq[rt] = number of reuse pairs with reuse time rt, for
+  /// rt = 0..n+1; index 0 and 1 are always zero (minimum reuse time is 2:
+  /// adjacent accesses).
   std::vector<std::uint64_t> freq;
-  /// first_count[x] = number of data whose first access is at position x.
-  std::vector<std::uint64_t> first_count;
-  /// last_count[x] = number of data whose last access is at position x.
-  std::vector<std::uint64_t> last_count;
+  /// Positions of the m first accesses, one per datum, ascending.
+  std::vector<std::uint64_t> first_pos;
+  /// Positions of the m last accesses, one per datum, ascending.
+  std::vector<std::uint64_t> last_pos;
 
   /// Total number of reuse pairs (= n - m).
   std::uint64_t reuse_pairs() const { return trace_length - distinct; }
 };
 
-/// Profiles a trace in one O(n) pass.
+/// Profiles a trace in one O(n) pass (plus an O(m log m) sort of the last
+/// positions).
 ReuseProfile profile_reuse(const Trace& trace);
 
 }  // namespace ocps

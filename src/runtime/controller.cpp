@@ -426,7 +426,8 @@ ControllerResult run_online_controller(const InterleavedTrace& trace,
         std::move(rec), obs::DecisionLog::steady_now_ns());
   }
 
-  std::uint64_t segment_start_ns = obs::now_ns();
+  // Read only by OCPS_OBS_HIST, which OCPS_OBS_DISABLED compiles out.
+  [[maybe_unused]] std::uint64_t segment_start_ns = obs::now_ns();
   for (std::size_t t = 0; t < trace.length(); ++t) {
     if (t > 0 && (t % config.epoch_length) == 0) {
       end_epoch();

@@ -79,55 +79,80 @@ bool PiecewiseLinear::is_non_decreasing(double eps) const {
   return true;
 }
 
-PiecewiseLinear PiecewiseLinear::simplify(double epsilon) const {
+namespace {
+
+// Iterative Douglas-Peucker over the knots (x(i), ys[i]) with vertical
+// deviation (x is monotone, so vertical distance to the chord is the
+// interpolation error bound). Which knots survive depends only on each
+// segment, not on the visiting order, so segments are visited left first
+// and the kept knots come out in ascending order with no per-knot marks.
+template <class XAt>
+PiecewiseLinear douglas_peucker(XAt x, const std::vector<double>& ys,
+                                double epsilon) {
   OCPS_CHECK(epsilon >= 0.0, "negative simplify tolerance");
-  const std::size_t n = xs_.size();
-  if (n <= 2) return *this;
-  std::vector<bool> keep(n, false);
-  keep.front() = keep.back() = true;
-  // Iterative Douglas-Peucker with vertical deviation (x is monotone, so
-  // vertical distance to the chord is the interpolation error bound).
-  std::vector<std::pair<std::size_t, std::size_t>> stack{{0, n - 1}};
+  const std::size_t n = ys.size();
+  if (n == 0) return PiecewiseLinear();
+  std::vector<double> out_x{x(0)}, out_y{ys[0]};
+  std::vector<std::pair<std::size_t, std::size_t>> stack;
+  if (n > 1) stack.push_back({0, n - 1});
   while (!stack.empty()) {
     auto [lo, hi] = stack.back();
     stack.pop_back();
-    if (hi <= lo + 1) continue;
-    double x0 = xs_[lo], y0 = ys_[lo];
-    double slope = (ys_[hi] - y0) / (xs_[hi] - x0);
-    double worst = epsilon;
     std::size_t worst_i = 0;
-    for (std::size_t i = lo + 1; i < hi; ++i) {
-      double d = std::abs(ys_[i] - (y0 + slope * (xs_[i] - x0)));
-      if (d > worst) {
-        worst = d;
-        worst_i = i;
+    if (hi > lo + 1) {
+      double x0 = x(lo), y0 = ys[lo];
+      double slope = (ys[hi] - y0) / (x(hi) - x0);
+      double worst = epsilon;
+      for (std::size_t i = lo + 1; i < hi; ++i) {
+        double d = std::abs(ys[i] - (y0 + slope * (x(i) - x0)));
+        if (d > worst) {
+          worst = d;
+          worst_i = i;
+        }
       }
     }
     if (worst_i != 0) {
-      keep[worst_i] = true;
-      stack.push_back({lo, worst_i});
       stack.push_back({worst_i, hi});
+      stack.push_back({lo, worst_i});
+    } else {
+      out_x.push_back(x(hi));
+      out_y.push_back(ys[hi]);
     }
   }
-  std::vector<double> xs, ys;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (keep[i]) {
-      xs.push_back(xs_[i]);
-      ys.push_back(ys_[i]);
-    }
+  return PiecewiseLinear(std::move(out_x), std::move(out_y));
+}
+
+// douglas_peucker() with epsilon doubled until the result fits max_knots.
+template <class XAt>
+PiecewiseLinear douglas_peucker_to(XAt x, const std::vector<double>& ys,
+                                   double epsilon, std::size_t max_knots) {
+  OCPS_CHECK(max_knots >= 2, "need at least two knots");
+  PiecewiseLinear out = douglas_peucker(x, ys, epsilon);
+  while (out.size() > max_knots) {
+    epsilon = std::max(epsilon * 2.0, 1e-9);
+    out = douglas_peucker(x, ys, epsilon);
   }
-  return PiecewiseLinear(std::move(xs), std::move(ys));
+  return out;
+}
+
+}  // namespace
+
+PiecewiseLinear PiecewiseLinear::simplify(double epsilon) const {
+  return douglas_peucker([this](std::size_t i) { return xs_[i]; }, ys_,
+                         epsilon);
 }
 
 PiecewiseLinear PiecewiseLinear::simplify_to(double epsilon,
                                              std::size_t max_knots) const {
-  OCPS_CHECK(max_knots >= 2, "need at least two knots");
-  PiecewiseLinear out = simplify(epsilon);
-  while (out.size() > max_knots) {
-    epsilon = std::max(epsilon * 2.0, 1e-9);
-    out = simplify(epsilon);
-  }
-  return out;
+  return douglas_peucker_to([this](std::size_t i) { return xs_[i]; }, ys_,
+                            epsilon, max_knots);
+}
+
+PiecewiseLinear PiecewiseLinear::simplify_dense_to(
+    const std::vector<double>& ys, double epsilon, std::size_t max_knots) {
+  return douglas_peucker_to(
+      [](std::size_t i) { return static_cast<double>(i); }, ys, epsilon,
+      max_knots);
 }
 
 PiecewiseLinear PiecewiseLinear::downsample(std::size_t max_knots) const {

@@ -61,6 +61,12 @@ class PiecewiseLinear {
   /// simplify() with epsilon doubled until the result fits max_knots.
   PiecewiseLinear simplify_to(double epsilon, std::size_t max_knots) const;
 
+  /// from_dense(ys).simplify_to(epsilon, max_knots), knot for knot, read
+  /// straight from ys without building the dense knot vectors.
+  static PiecewiseLinear simplify_dense_to(const std::vector<double>& ys,
+                                           double epsilon,
+                                           std::size_t max_knots);
+
  private:
   std::vector<double> xs_;
   std::vector<double> ys_;

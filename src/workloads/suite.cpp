@@ -65,9 +65,11 @@ ProgramModel profile_one(const WorkloadSpec& spec,
                                           options.capacity,
                                           options.footprint_knots);
   if (!options.cache_dir.empty()) {
+    // The model already holds the simplified knots; reuse them rather
+    // than running Douglas-Peucker a second time.
     std::filesystem::create_directories(options.cache_dir);
-    FootprintFile file = make_footprint_file(spec.name, spec.access_rate, fp,
-                                             options.footprint_knots);
+    FootprintFile file{model.name, model.access_rate, model.trace_length,
+                       model.distinct, model.footprint};
     save_footprint_file(file, cache_path(options, spec),
                         options.footprint_knots);
   }

@@ -111,7 +111,9 @@ TEST(DpKernelDispatch, TestOverrideForcesKernelAndResetRestoresAuto) {
   dp_detail::reset_kernel_for_testing();
   // Post-reset dispatch re-resolves; whatever it picks must be runnable.
   KernelKind k = dp_detail::active_kernel();
-  if (!dp_detail::cpu_supports_avx2()) EXPECT_EQ(k, KernelKind::kScalar);
+  if (!dp_detail::cpu_supports_avx2()) {
+    EXPECT_EQ(k, KernelKind::kScalar);
+  }
 }
 
 TEST(DpKernelDispatch, KernelNamesAreStable) {

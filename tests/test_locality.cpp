@@ -41,16 +41,12 @@ TEST(ReuseTime, Fig3Histogram) {
   EXPECT_EQ(total, 8u);
 }
 
-TEST(ReuseTime, FirstAndLastCounts) {
+TEST(ReuseTime, FirstAndLastPositions) {
   ReuseProfile p = profile_reuse(fig3_trace());
   // First accesses at positions 1 (a), 3 (x), 4 (b), 6 (y).
-  EXPECT_EQ(p.first_count[1], 1u);
-  EXPECT_EQ(p.first_count[3], 1u);
-  EXPECT_EQ(p.first_count[4], 1u);
-  EXPECT_EQ(p.first_count[6], 1u);
+  EXPECT_EQ(p.first_pos, (std::vector<std::uint64_t>{1, 3, 4, 6}));
   // Last accesses at 8 (a), 9 (x), 11 (b), 12 (y).
-  EXPECT_EQ(p.last_count[8], 1u);
-  EXPECT_EQ(p.last_count[12], 1u);
+  EXPECT_EQ(p.last_pos, (std::vector<std::uint64_t>{8, 9, 11, 12}));
 }
 
 TEST(ReuseTime, SingleAccessTrace) {
@@ -97,6 +93,10 @@ TEST_P(FootprintOracleProperty, MatchesBruteForce) {
     case 4: trace = make_hot_cold(400, 5, 40, 0.7, 7); break;
     case 5: trace = fig3_trace(); break;
     case 6: trace = make_stream(200); break;
+    case 7: trace = make_scan_mix(400, 9, 0.9, {{30, 0.2}, {70, 0.1}}, 8);
+      break;
+    case 8: trace = make_cyclic(50, 1); break;  // one block, n - 1 reuses
+    case 9: trace = Trace{{7}}; break;          // n = 1
     default: FAIL();
   }
   FootprintCurve fast = compute_footprint(trace);
@@ -106,7 +106,29 @@ TEST_P(FootprintOracleProperty, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, FootprintOracleProperty,
-                         ::testing::Range(0, 7));
+                         ::testing::Range(0, 10));
+
+TEST(Footprint, RejectsMalformedProfiles) {
+  // Arrays that do not match trace_length would be read out of bounds.
+  ReuseProfile empty;
+  empty.trace_length = 5;
+  EXPECT_THROW(footprint_from_profile(empty), CheckError);
+
+  const ReuseProfile good = profile_reuse(fig3_trace());
+  ASSERT_NO_THROW(footprint_from_profile(good));
+
+  ReuseProfile short_list = good;  // one first position missing
+  short_list.first_pos.pop_back();
+  EXPECT_THROW(footprint_from_profile(short_list), CheckError);
+
+  ReuseProfile unsorted = good;  // last positions out of order
+  std::swap(unsorted.last_pos[1], unsorted.last_pos[2]);
+  EXPECT_THROW(footprint_from_profile(unsorted), CheckError);
+
+  ReuseProfile past_end = good;  // a last access after position n
+  past_end.last_pos.back() = good.trace_length + 1;
+  EXPECT_THROW(footprint_from_profile(past_end), CheckError);
+}
 
 TEST(Footprint, MonotoneNonDecreasing) {
   FootprintCurve fp = compute_footprint(make_zipf(5000, 200, 1.0, 8));

@@ -1,6 +1,8 @@
 // Tests for src/trace: generators, interleaving, IO.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -71,6 +73,41 @@ TEST(Generators, ZipfIsDeterministicAndSkewed) {
   }
   EXPECT_GT(count0, 10 * std::max<std::size_t>(count50, 1) / 2);
   EXPECT_GT(count0, 2000u);
+}
+
+TEST(Generators, ZipfDrawsMatchBinarySearch) {
+  // make_zipf samples through a guide table; every draw must equal the
+  // plain binary search over the same CDF, clamped to the last block.
+  struct Case {
+    std::size_t blocks;
+    double alpha;
+  };
+  // alpha = 20 on 64 blocks: every term past k = 6 is below an ulp of
+  // the sum, so the CDF ends in a flat run of 59 equal entries.
+  for (Case c : {Case{1, 1.0}, Case{7, 0.5}, Case{300, 1.0},
+                 Case{1100, 1.35}, Case{64, 20.0}}) {
+    const std::size_t length = 20000;
+    const std::uint64_t seed = 31 + c.blocks;
+    std::vector<double> cdf(c.blocks);
+    double sum = 0.0;
+    for (std::size_t k = 0; k < c.blocks; ++k) {
+      sum += 1.0 / std::pow(static_cast<double>(k + 1), c.alpha);
+      cdf[k] = sum;
+    }
+    if (c.alpha == 20.0) {
+      ASSERT_EQ(std::count(cdf.begin(), cdf.end(), cdf.back()), 59);
+    }
+    Rng rng(seed);
+    std::vector<Block> want(length);
+    for (Block& b : want) {
+      double u = rng.uniform() * sum;
+      auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+      b = static_cast<Block>(std::min<std::size_t>(
+          static_cast<std::size_t>(it - cdf.begin()), c.blocks - 1));
+    }
+    EXPECT_EQ(make_zipf(length, c.blocks, c.alpha, seed).accesses, want)
+        << "blocks=" << c.blocks << " alpha=" << c.alpha;
+  }
 }
 
 TEST(Generators, UniformCoversRange) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
@@ -140,6 +141,33 @@ TEST(Curve, DownsampleKeepsEndpointsAndShape) {
   // Linear input survives downsampling exactly.
   EXPECT_NEAR(small(123.0), dense(123.0), 1e-9);
   EXPECT_NEAR(small(987.0), dense(987.0), 1e-9);
+}
+
+TEST(Curve, SimplifyBoundsErrorAndDenseEntryMatches) {
+  // A concave ramp with a cliff and some jitter, like a footprint.
+  Rng rng(3);
+  std::vector<double> ys(5001);
+  for (std::size_t i = 1; i < ys.size(); ++i)
+    ys[i] = ys[i - 1] + 1.0 / std::sqrt(static_cast<double>(i)) +
+            (i == 3000 ? 40.0 : 0.0) + 0.01 * rng.uniform();
+  const PiecewiseLinear dense = PiecewiseLinear::from_dense(ys);
+  for (double eps : {0.0, 0.02, 0.5}) {
+    PiecewiseLinear s = dense.simplify(eps);
+    EXPECT_DOUBLE_EQ(s.x_min(), 0.0);
+    EXPECT_DOUBLE_EQ(s.x_max(), 5000.0);
+    for (std::size_t i = 0; i < ys.size(); ++i)
+      ASSERT_LE(std::abs(s(static_cast<double>(i)) - ys[i]), eps + 1e-9)
+          << "eps=" << eps << " i=" << i;
+  }
+  // The dense entry reads x = index in place and must pick the same
+  // knots, including when the budget forces epsilon to double.
+  for (std::size_t budget : {2, 17, 300, 6000}) {
+    PiecewiseLinear a = dense.simplify_to(0.005, budget);
+    PiecewiseLinear b = PiecewiseLinear::simplify_dense_to(ys, 0.005, budget);
+    EXPECT_LE(a.size(), budget);
+    EXPECT_EQ(a.xs(), b.xs()) << "budget=" << budget;
+    EXPECT_EQ(a.ys(), b.ys()) << "budget=" << budget;
+  }
 }
 
 TEST(Curve, IsNonDecreasingDetects) {

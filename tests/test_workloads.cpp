@@ -1,6 +1,7 @@
 // Tests for the SPEC-like workload suite and suite profiling.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <set>
 
@@ -16,6 +17,38 @@ SuiteOptions small_options() {
   opt.trace_length = 30000;
   opt.capacity = 256;
   return opt;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// FNV-1a 64 over the bytes of a model's cold-profiled outputs: the
+// distinct count, the knot count, every knot's x and y bits, and every
+// miss ratio's bits.
+std::uint64_t model_fingerprint(const ProgramModel& model,
+                                std::size_t capacity) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto mix_in = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  };
+  auto mix_double = [&mix_in](double d) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &d, sizeof bits);
+    mix_in(bits);
+  };
+  mix_in(model.distinct);
+  mix_in(model.footprint.size());
+  for (std::size_t i = 0; i < model.footprint.size(); ++i) {
+    mix_double(model.footprint.xs()[i]);
+    mix_double(model.footprint.ys()[i]);
+  }
+  for (std::size_t c = 0; c <= capacity; ++c) mix_double(model.mrc.ratio(c));
+  return h;
 }
 
 TEST(SpecLike, SixteenProgramsWithUniqueNames) {
@@ -121,6 +154,10 @@ TEST(Suite, DiskCacheRoundTrips) {
     const auto& b = second.models[i];
     EXPECT_EQ(a.name, b.name);
     EXPECT_EQ(a.distinct, b.distinct);
+    // The file stores the cold model's knots with 17 significant digits,
+    // so they read back bit for bit.
+    EXPECT_TRUE(same_bits(a.footprint.xs(), b.footprint.xs())) << a.name;
+    EXPECT_TRUE(same_bits(a.footprint.ys(), b.footprint.ys())) << a.name;
     // The cached model re-derives its MRC from the 4096-knot footprint
     // file, so cliffy curves pick up a little downsampling smoothing.
     for (std::size_t c = 0; c <= opt.capacity; c += 16)
@@ -128,6 +165,40 @@ TEST(Suite, DiskCacheRoundTrips) {
           << a.name << " c=" << c;
   }
   std::filesystem::remove_all(opt.cache_dir);
+}
+
+TEST(Suite, ColdModelsMatchRecordedBits) {
+  // Pins the whole cold profiling path (generators, reuse profile,
+  // footprint, Douglas-Peucker knots and HOTL) to hashes recorded before
+  // that path was rewritten for speed.
+  SuiteOptions opt;
+  opt.trace_length = 100000;
+  opt.capacity = 1024;
+  Suite suite = build_spec2006_suite(opt);
+  const std::uint64_t want[16] = {
+      0x76f719cf569b319aULL,  // perlbench
+      0x1175f45da575f528ULL,  // bzip2
+      0xc88d00b235ccfec0ULL,  // mcf
+      0xddf281f7822a2f41ULL,  // zeusmp
+      0xc42782aa4e304608ULL,  // namd
+      0xc090ff6a547516b1ULL,  // dealII
+      0x65ef749e3ea4b1d2ULL,  // soplex
+      0x368c9acd2915d873ULL,  // povray
+      0x1dad3974dd307ec5ULL,  // hmmer
+      0x638f0bd45377ee05ULL,  // sjeng
+      0x8cb68119810c2522ULL,  // h264ref
+      0xec406950ec6c1351ULL,  // tonto
+      0x3b22df2d29e67f61ULL,  // lbm
+      0x0c9eddf144a49502ULL,  // omnetpp
+      0xfec64ba2858a7b70ULL,  // wrf
+      0xec13bd4aab9c00dcULL,  // sphinx3
+  };
+  ASSERT_EQ(suite.models.size(), 16u);
+  for (std::size_t i = 0; i < suite.models.size(); ++i) {
+    const std::uint64_t got = model_fingerprint(suite.models[i], opt.capacity);
+    EXPECT_EQ(got, want[i]) << suite.models[i].name << ": 0x" << std::hex
+                            << got;
+  }
 }
 
 TEST(Suite, EnvOptionsParsed) {
