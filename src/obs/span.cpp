@@ -91,6 +91,11 @@ struct SpanRing {
 struct RingDirectory {
   std::mutex mu;
   std::vector<std::shared_ptr<SpanRing>> rings;
+  /// Rings of exited threads. Their events stay exportable until a new
+  /// thread takes the ring over, so a process that starts one thread per
+  /// connection keeps as many rings as it had threads alive at once, not
+  /// one per connection ever served.
+  std::vector<std::shared_ptr<SpanRing>> idle;
   std::uint32_t next_tid = 1;
 };
 
@@ -99,18 +104,36 @@ RingDirectory& directory() {
   return *d;
 }
 
-SpanRing& this_thread_ring() {
-  thread_local std::shared_ptr<SpanRing> ring = [] {
-    auto r = std::make_shared<SpanRing>();
-    r->events.reserve(kRingCapacity);
+// A thread's claim on one ring, returned to the idle list at thread exit.
+struct RingLease {
+  std::shared_ptr<SpanRing> ring;
+
+  RingLease() {
     spans_dropped_counter();  // register eagerly: scrapes always show it
     RingDirectory& d = directory();
     std::lock_guard<std::mutex> lock(d.mu);
-    r->tid = d.next_tid++;
-    d.rings.push_back(r);  // directory keeps rings alive past thread exit
-    return r;
-  }();
-  return *ring;
+    if (d.idle.empty()) {
+      ring = std::make_shared<SpanRing>();
+      ring->events.reserve(kRingCapacity);
+      d.rings.push_back(ring);  // directory keeps rings alive past threads
+    } else {
+      ring = std::move(d.idle.back());
+      d.idle.pop_back();
+    }
+    ring->tid = d.next_tid++;
+  }
+  ~RingLease() {
+    RingDirectory& d = directory();
+    std::lock_guard<std::mutex> lock(d.mu);
+    d.idle.push_back(std::move(ring));
+  }
+  RingLease(const RingLease&) = delete;
+  RingLease& operator=(const RingLease&) = delete;
+};
+
+SpanRing& this_thread_ring() {
+  thread_local RingLease lease;
+  return *lease.ring;
 }
 
 void escape(std::ostream& os, const char* s) {

@@ -2,8 +2,10 @@
 
 #include <chrono>
 #include <cmath>
+#include <sstream>
 
 #include "obs/obs.hpp"
+#include "util/check.hpp"
 
 namespace ocps::serve {
 
@@ -370,6 +372,84 @@ Result<Response> parse_response(const std::string& line) {
   r.code = static_cast<int>(r.body.get_number("code", 0.0));
   r.error = r.body.get_string("error", "");
   return Ok(std::move(r));
+}
+
+std::string metrics_response(std::int64_t id, json::Value head,
+                             const std::function<void()>& refresh) {
+  if (!obs::enabled())
+    return error_response(
+        id, kCodeObsDisabled,
+        "observability disabled (compiled out or OCPS_OBS unset)");
+  refresh();
+  std::ostringstream prom;
+  obs::write_metrics_prometheus(prom);
+  std::ostringstream js;
+  obs::write_metrics_json(js);
+  Result<json::Value> metrics = json::parse(js.str());
+  if (metrics.ok()) head.set("metrics", std::move(metrics.value()));
+  head.set("prometheus", json::Value(prom.str()));
+  return ok_response(id, std::move(head));
+}
+
+std::unique_ptr<obs::SloTracker> make_slo_tracker(double p99_ms,
+                                                  double availability) {
+  OCPS_CHECK(p99_ms >= 0.0 && std::isfinite(p99_ms),
+             "slo_p99_ms must be finite and >= 0");
+  OCPS_CHECK(availability >= 0.0 && availability < 1.0,
+             "slo_availability must be in [0, 1)");
+  obs::SloConfig config;
+  config.p99_ms = p99_ms;
+  config.availability = availability;
+  return std::make_unique<obs::SloTracker>(config);
+}
+
+json::Value slo_json(obs::SloTracker& slo, const char* role) {
+  obs::SloTracker::Status status =
+      slo.status(obs::SloTracker::steady_now_ns());
+  json::Value body;
+  if (role) body.set("role", json::Value(role));
+  body.set("configured", json::Value(slo.configured()));
+  json::Array objectives;
+  for (const obs::SloTracker::Objective& o : status.objectives) {
+    json::Value row;
+    row.set("name", json::Value(o.name));
+    row.set("target", json::Value(o.target));
+    row.set("budget", json::Value(o.budget));
+    row.set("burn_5m", json::Value(o.burn_short));
+    row.set("burn_1h", json::Value(o.burn_long));
+    row.set("breaching", json::Value(o.breaching));
+    objectives.push_back(std::move(row));
+  }
+  body.set("objectives", json::Value(std::move(objectives)));
+  json::Array alerts;
+  for (const obs::SloTracker::Alert& a : status.alerts) {
+    json::Value row;
+    row.set("seq", json::Value(static_cast<double>(a.seq)));
+    row.set("at_ns", json::Value(static_cast<double>(a.at_ns)));
+    row.set("objective", json::Value(a.objective));
+    row.set("burn_5m", json::Value(a.burn_short));
+    row.set("burn_1h", json::Value(a.burn_long));
+    alerts.push_back(std::move(row));
+  }
+  body.set("alerts", json::Value(std::move(alerts)));
+  body.set("alerts_total",
+           json::Value(static_cast<double>(status.alerts_total)));
+  return body;
+}
+
+void publish_slo_gauges(obs::SloTracker& slo) {
+  if (!slo.configured()) return;
+  obs::SloTracker::Status status =
+      slo.status(obs::SloTracker::steady_now_ns());
+  for (const obs::SloTracker::Objective& o : status.objectives) {
+    std::string base = "serve.slo." + o.name;
+    obs::gauge(base + ".target").set(o.target);
+    obs::gauge(base + ".burn_5m").set(o.burn_short);
+    obs::gauge(base + ".burn_1h").set(o.burn_long);
+    obs::gauge(base + ".breaching").set(o.breaching ? 1.0 : 0.0);
+  }
+  obs::gauge("serve.slo.alerts_total")
+      .set(static_cast<double>(status.alerts_total));
 }
 
 }  // namespace ocps::serve

@@ -35,10 +35,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "obs/decision_log.hpp"
+#include "obs/slo.hpp"
 #include "util/json.hpp"
 #include "util/result.hpp"
 
@@ -161,5 +164,30 @@ json::Value decision_accuracy_json(const obs::DecisionAccuracy& acc);
 /// detector state plus its bounded alert log.
 json::Value drift_status_json(const obs::DriftStatus& status,
                               const std::vector<obs::DriftAlert>& alerts);
+
+/// The whole `metrics` answer, shared by the daemon and the router: 501
+/// when observability is off; otherwise runs `refresh`, then answers
+/// `head` extended with "metrics" (the registry snapshot as JSON) and
+/// "prometheus" (the exposition text).
+std::string metrics_response(std::int64_t id, json::Value head,
+                             const std::function<void()>& refresh);
+
+/// The SLO tracker of a daemon or a router. Throws CheckError unless
+/// p99_ms is finite and >= 0 and availability is in [0, 1); 0 turns an
+/// objective off.
+std::unique_ptr<obs::SloTracker> make_slo_tracker(double p99_ms,
+                                                  double availability);
+
+/// Body of an `slo` answer, shared by the daemon and the router:
+///   {"role"?,"configured","objectives":[{"name","target","budget",
+///    "burn_5m","burn_1h","breaching"}],"alerts":[{"seq","at_ns",
+///    "objective","burn_5m","burn_1h"}],"alerts_total"}
+/// `role` is set only when a router answers for itself.
+json::Value slo_json(obs::SloTracker& slo, const char* role = nullptr);
+
+/// Publishes the serve.slo.<objective>.{target,burn_5m,burn_1h,breaching}
+/// gauges and serve.slo.alerts_total; nothing when no objective is set.
+/// Each process exports its own view under the same names.
+void publish_slo_gauges(obs::SloTracker& slo);
 
 }  // namespace ocps::serve

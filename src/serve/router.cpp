@@ -1,6 +1,6 @@
 // Router implementation. Threading model:
 //
-//   accept thread --> one reader thread per client connection
+//   front end     --> one reader thread per client connection
 //                       (parses, routes, forwards synchronously)
 //   health thread --> scrapes every backend's `metrics` op on a fixed
 //                     interval, feeding the circuit breakers + fleet
@@ -8,27 +8,18 @@
 //
 // Forwarding is synchronous on the reader thread: one client connection
 // is one lane, and a slow backend delays only the clients routed to it.
-// Each connection owns its backend Client set, so no connection state is
-// shared across reader threads; the shared state (breakers, counters,
-// fleet gauges) is mutex- or atomic-guarded.
+// Each connection's line handler owns its backend Client set (Lanes), so
+// no connection state is shared across reader threads; the shared state
+// (breakers, counters, fleet gauges) is mutex- or atomic-guarded.
 
 #include "serve/router.hpp"
 
-#include <errno.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "obs/obs.hpp"
 #include "obs/slo.hpp"
-#include "runtime/fault_injection.hpp"
-#include "serve/socket_util.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -37,9 +28,6 @@ namespace ocps::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-constexpr std::size_t kMaxLineBytes = 1 << 20;
-constexpr int kPollMs = 50;
 
 double ms_since(Clock::time_point start, Clock::time_point end) {
   return std::chrono::duration<double, std::milli>(end - start).count();
@@ -230,66 +218,40 @@ struct Router::Backend {
       : endpoint(std::move(ep)), breaker(cfg) {}
 };
 
-struct Router::Connection {
-  int fd = -1;
-  std::mutex write_mutex;
-  std::chrono::milliseconds io_timeout{5000};
-  std::atomic<bool> broken{false};
-  /// Per-connection backend clients: one lane per client connection, so
-  /// reader threads never share a backend socket.
-  std::vector<Client> backends;
-
-  ~Connection() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  bool send_line(std::string line) {
-    line.push_back('\n');
-    std::lock_guard<std::mutex> guard(write_mutex);
-    if (broken.load(std::memory_order_relaxed)) return false;
-    if (!send_all(fd, line.data(), line.size(), io_timeout)) {
-      broken.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    return true;
-  }
-};
-
 // ---------------------------------------------------------------------------
 // Lifecycle.
 
 Router::Router(RouterConfig config)
     : config_(std::move(config)),
-      counters_(std::make_unique<AtomicCounters>()) {
+      counters_(std::make_unique<AtomicCounters>()),
+      frontend_(
+          config_, "serve.router.conn_limit_rejected",
+          {[this] {
+             // Sole owner; shared_ptr only because std::function needs a
+             // copyable closure and Client is move-only.
+             auto lanes = std::make_shared<Lanes>(config_.backends.size());
+             return [this, lanes](const std::shared_ptr<Connection>& conn,
+                                  const std::string& line) {
+               handle_line(conn, line, *lanes);
+             };
+           },
+           [this] {
+             counters_->malformed.fetch_add(1);
+             OCPS_OBS_COUNT("serve.router.malformed", 1);
+           },
+           [this] { refresh_gauges(); }}) {
   OCPS_CHECK(!config_.backends.empty(),
              "router: at least one backend endpoint is required");
-  OCPS_CHECK(!config_.socket_path.empty() || !config_.listen_address.empty(),
-             "router: a front listener (socket path or listen address) is "
-             "required");
   OCPS_CHECK(config_.vnodes > 0, "router: vnodes must be positive");
   OCPS_CHECK(config_.connect_timeout.count() > 0,
              "router: connect_timeout must be positive");
-  OCPS_CHECK(config_.io_timeout.count() > 0,
-             "router: io_timeout must be positive");
   OCPS_CHECK(config_.health_interval.count() > 0,
              "router: health_interval must be positive");
-  OCPS_CHECK(config_.max_connections > 0,
-             "router: max_connections must be positive");
-  OCPS_CHECK(config_.metrics_port >= -1 && config_.metrics_port <= 65535,
-             "router: metrics_port must be in [-1, 65535]");
-  OCPS_CHECK(config_.slo_p99_ms >= 0.0 && std::isfinite(config_.slo_p99_ms),
-             "router: slo_p99_ms must be finite and >= 0");
-  OCPS_CHECK(config_.slo_availability >= 0.0 &&
-                 config_.slo_availability < 1.0,
-             "router: slo_availability must be in [0, 1)");
   ring_ = std::make_unique<HashRing>(config_.backends.size(), config_.vnodes);
   backends_.reserve(config_.backends.size());
   for (const std::string& ep : config_.backends)
     backends_.push_back(std::make_unique<Backend>(ep, config_.breaker));
-  obs::SloConfig slo_config;
-  slo_config.p99_ms = config_.slo_p99_ms;
-  slo_config.availability = config_.slo_availability;
-  slo_ = std::make_unique<obs::SloTracker>(slo_config);
+  slo_ = make_slo_tracker(config_.slo_p99_ms, config_.slo_availability);
   trace_seed_ = static_cast<std::uint64_t>(
       std::chrono::steady_clock::now().time_since_epoch().count());
 }
@@ -298,73 +260,6 @@ Router::~Router() { stop(); }
 
 Result<bool> Router::start() {
   OCPS_CHECK(!started_.exchange(true), "Router::start called twice");
-
-  auto teardown = [&] {
-    if (http_fd_ >= 0) {
-      ::close(http_fd_);
-      http_fd_ = -1;
-    }
-    if (tcp_fd_ >= 0) {
-      ::close(tcp_fd_);
-      tcp_fd_ = -1;
-    }
-    UnixListener claimed{listen_fd_, lock_fd_};
-    release_unix_socket(claimed, config_.socket_path);
-    listen_fd_ = -1;
-    lock_fd_ = -1;
-  };
-
-  if (!config_.socket_path.empty()) {
-    Result<UnixListener> claimed =
-        claim_unix_socket(config_.socket_path, 64);
-    if (!claimed.ok()) return claimed.error();
-    listen_fd_ = claimed.value().fd;
-    lock_fd_ = claimed.value().lock_fd;
-  }
-
-  if (!config_.listen_address.empty()) {
-    Result<Endpoint> ep = parse_endpoint(config_.listen_address);
-    if (!ep.ok()) {
-      teardown();
-      return ep.error();
-    }
-    if (!ep.value().is_tcp()) {
-      teardown();
-      return Err(ErrorCode::kInvalidArgument,
-                 "--listen must be host:port, got: " +
-                     config_.listen_address);
-    }
-    Result<int> fd = listen_tcp(ep.value().host, ep.value().port, 64);
-    if (!fd.ok()) {
-      teardown();
-      return fd.error();
-    }
-    tcp_fd_ = fd.value();
-    Result<std::uint16_t> port = bound_tcp_port(tcp_fd_);
-    if (!port.ok()) {
-      teardown();
-      return port.error();
-    }
-    tcp_port_.store(port.value());
-  }
-
-  if (config_.metrics_port != 0) {
-    std::uint16_t want = config_.metrics_port > 0
-                             ? static_cast<std::uint16_t>(config_.metrics_port)
-                             : 0;
-    Result<int> fd = listen_tcp("127.0.0.1", want, 16);
-    if (!fd.ok()) {
-      teardown();
-      return fd.error();
-    }
-    http_fd_ = fd.value();
-    Result<std::uint16_t> port = bound_tcp_port(http_fd_);
-    if (!port.ok()) {
-      teardown();
-      return port.error();
-    }
-    http_port_.store(port.value());
-  }
 
   // Eager metric registration (the obs.spans_dropped precedent): the
   // first Prometheus scrape must expose the complete serve.router.*
@@ -398,49 +293,20 @@ Result<bool> Router::start() {
   }
 
   started_at_ = Clock::now();
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  Result<bool> listening = frontend_.start();
+  if (!listening.ok()) return listening;
   health_thread_ = std::thread([this] { health_loop(); });
-  if (http_fd_ >= 0) http_thread_ = std::thread([this] { http_loop(); });
   return Ok(true);
 }
 
 void Router::stop() {
-  stopping_.store(true);
+  frontend_.request_stop();
   if (!started_.load() || joined_.exchange(true)) return;
-
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (http_thread_.joinable()) http_thread_.join();
-  if (health_thread_.joinable()) health_thread_.join();
-  if (http_fd_ >= 0) {
-    ::close(http_fd_);
-    http_fd_ = -1;
-  }
-  if (tcp_fd_ >= 0) {
-    ::close(tcp_fd_);
-    tcp_fd_ = -1;
-  }
-  UnixListener claimed{listen_fd_, lock_fd_};
-  release_unix_socket(claimed, config_.socket_path);
-  listen_fd_ = -1;
-  lock_fd_ = -1;
 
   // Reader threads finish the request they are forwarding (bounded by
   // io_timeout) and exit on the next poll tick.
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> guard(conns_mutex_);
-    readers.swap(reader_threads_);
-  }
-  for (std::thread& t : readers)
-    if (t.joinable()) t.join();
-
-  std::lock_guard<std::mutex> guard(conns_mutex_);
-  conns_.clear();
-}
-
-void Router::wait_until_stop_requested() const {
-  while (!stopping_.load())
-    std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
+  frontend_.stop();
+  if (health_thread_.joinable()) health_thread_.join();
 }
 
 CircuitBreaker::State Router::breaker_state(std::size_t i) const {
@@ -465,106 +331,6 @@ Router::Counters Router::counters() const {
 }
 
 // ---------------------------------------------------------------------------
-// Front listeners.
-
-void Router::accept_loop() {
-  while (!stopping_.load()) {
-    pollfd pfds[2];
-    nfds_t nfds = 0;
-    if (listen_fd_ >= 0) pfds[nfds++] = {listen_fd_, POLLIN, 0};
-    if (tcp_fd_ >= 0) pfds[nfds++] = {tcp_fd_, POLLIN, 0};
-    int ready = ::poll(pfds, nfds, kPollMs);
-    if (ready <= 0) continue;
-    for (nfds_t i = 0; i < nfds; ++i) {
-      if (!(pfds[i].revents & POLLIN)) continue;
-      int fd = ::accept4(pfds[i].fd, nullptr, nullptr,
-                         SOCK_CLOEXEC | SOCK_NONBLOCK);
-      if (fd < 0) continue;
-      if (config_.net_faults && config_.net_faults->fail_accept()) {
-        ::close(fd);
-        continue;
-      }
-      auto conn = std::make_shared<Connection>();
-      conn->fd = fd;
-      conn->io_timeout = config_.io_timeout;
-      conn->backends.resize(backends_.size());
-      std::lock_guard<std::mutex> guard(conns_mutex_);
-      if (stopping_.load()) continue;
-      if (conns_.size() >= config_.max_connections) {
-        OCPS_OBS_COUNT("serve.router.conn_limit_rejected", 1);
-        conn->send_line(error_response(
-            0, kCodeShuttingDown,
-            "connection limit reached (" +
-                std::to_string(config_.max_connections) + ")"));
-        continue;
-      }
-      conns_.push_back(conn);
-      reader_threads_.emplace_back([this, conn] { reader_loop(conn); });
-    }
-  }
-}
-
-void Router::reader_loop(std::shared_ptr<Connection> conn) {
-  std::string buffer;
-  Clock::time_point last_progress = Clock::now();
-  while (!stopping_.load()) {
-    if (conn->broken.load(std::memory_order_relaxed)) break;
-    if (!buffer.empty() &&
-        Clock::now() - last_progress > config_.io_timeout) {
-      counters_->malformed.fetch_add(1);
-      OCPS_OBS_COUNT("serve.router.malformed", 1);
-      conn->send_line(error_response(0, kCodeBadRequest,
-                                     "request line stalled mid-frame"));
-      break;
-    }
-    pollfd pfd{conn->fd, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, kPollMs);
-    if (ready <= 0) continue;
-    char chunk[4096];
-    ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-    if (n == 0) break;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      break;
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    last_progress = Clock::now();
-    std::size_t pos;
-    while ((pos = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      handle_line(conn, line);
-    }
-    if (buffer.size() > kMaxLineBytes) {
-      counters_->malformed.fetch_add(1);
-      OCPS_OBS_COUNT("serve.router.malformed", 1);
-      conn->send_line(
-          error_response(0, kCodeBadRequest, "request line too long"));
-      break;
-    }
-  }
-  std::lock_guard<std::mutex> guard(conns_mutex_);
-  conns_.erase(std::remove(conns_.begin(), conns_.end(), conn),
-               conns_.end());
-}
-
-void Router::http_loop() {
-  while (!stopping_.load()) {
-    pollfd pfd{http_fd_, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, kPollMs);
-    if (ready <= 0) continue;
-    int fd = ::accept4(http_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) continue;
-    handle_metrics_http_client(
-        fd, [this] { return stopping_.load(); },
-        [this] { refresh_gauges(); });
-    ::close(fd);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Request handling.
 
 std::string Router::route_key(const Request& req) {
@@ -586,7 +352,7 @@ std::string Router::route_key(const Request& req) {
 }
 
 void Router::handle_line(const std::shared_ptr<Connection>& conn,
-                         const std::string& line) {
+                         const std::string& line, Lanes& lanes) {
   counters_->requests.fetch_add(1);
   OCPS_OBS_COUNT("serve.router.requests", 1);
 
@@ -604,23 +370,30 @@ void Router::handle_line(const std::shared_ptr<Connection>& conn,
     case Op::kHealth:
       handle_health_local(conn, req);
       return;
-    case Op::kMetrics:
-      handle_metrics_local(conn, req);
+    case Op::kMetrics: {
+      json::Value head;
+      head.set("role", json::Value("router"));
+      head.set("uptime_ms", json::Value(ms_since(started_at_, Clock::now())));
+      conn->send_line(metrics_response(req.id, std::move(head),
+                                       [this] { refresh_gauges(); }));
       return;
+    }
     case Op::kReload:
-      fan_out_reload(conn, req, line);
+      fan_out_reload(conn, req, line, lanes);
       return;
     case Op::kTrace:
-      handle_trace_local(conn, req);
+      handle_trace_local(conn, req, lanes);
       return;
     case Op::kSlo:
-      handle_slo_local(conn, req);
+      // The router's own tracker (fleet-level burn); answers even with
+      // obs compiled out.
+      conn->send_line(ok_response(req.id, slo_json(*slo_, "router")));
       return;
     case Op::kDecisions:
-      handle_decisions_local(conn, req);
+      handle_decisions_local(conn, req, lanes);
       return;
     case Op::kReconcile:
-      handle_reconcile_local(conn, req);
+      handle_reconcile_local(conn, req, lanes);
       return;
     case Op::kPartition:
     case Op::kSweep:
@@ -628,12 +401,12 @@ void Router::handle_line(const std::shared_ptr<Connection>& conn,
       break;
   }
 
-  if (stopping_.load()) {
+  if (stop_requested()) {
     conn->send_line(
         error_response(req.id, kCodeShuttingDown, "router is draining"));
     return;
   }
-  forward(conn, req);
+  forward(conn, req, lanes);
 }
 
 std::uint64_t Router::next_trace_nonce() {
@@ -649,8 +422,22 @@ void Router::record_backend_latency(std::size_t idx, double ms) {
       .observe(ms);
 }
 
+Result<Response> Router::call_backend(Client& lane, std::size_t idx,
+                                      const std::string& line,
+                                      std::chrono::milliseconds timeout) {
+  if (!lane.connected()) {
+    Result<Client> fresh = Client::connect(
+        backends_[idx]->endpoint, std::min(config_.connect_timeout, timeout));
+    if (!fresh.ok()) return fresh.error();
+    lane = std::move(fresh.value());
+  }
+  Result<Response> r = lane.call(line, timeout);
+  if (!r.ok()) lane = Client();
+  return r;
+}
+
 void Router::forward(const std::shared_ptr<Connection>& conn,
-                     const Request& req) {
+                     const Request& req, Lanes& lanes) {
   const Clock::time_point fwd_start = Clock::now();
 
   // Trace context: adopt the client's trace_id (minting one when absent)
@@ -713,31 +500,14 @@ void Router::forward(const std::shared_ptr<Connection>& conn,
       continue;
     }
     any_allowed = true;
-    const std::chrono::milliseconds left = clamp_left(deadline, now);
-
-    Client& c = conn->backends[idx];
-    if (!c.connected()) {
-      Result<Client> fresh = Client::connect(
-          b.endpoint, std::min(config_.connect_timeout, left));
-      if (!fresh.ok()) {
-        b.breaker.record_failure(Clock::now());
-        counters_->failovers.fetch_add(1);
-        OCPS_OBS_COUNT("serve.router.failovers", 1);
-        obs::instant_event("serve.router.failover", "router", "backend",
-                           static_cast<std::uint64_t>(idx), trace_id);
-        continue;
-      }
-      c = std::move(fresh.value());
-    }
 
     const Clock::time_point attempt_start = Clock::now();
-    Result<Response> r = c.call(fwd_line, left);
+    Result<Response> r =
+        call_backend(lanes[idx], idx, fwd_line, clamp_left(deadline, now));
     record_backend_latency(idx, ms_since(attempt_start, Clock::now()));
     if (!r.ok()) {
-      // Transport failure: the stream may hold a half-written response,
-      // so drop the lane's connection and fail over.
+      // Transport failure (connect or call): fail over.
       b.breaker.record_failure(Clock::now());
-      c = Client();
       counters_->failovers.fetch_add(1);
       OCPS_OBS_COUNT("serve.router.failovers", 1);
       obs::instant_event("serve.router.failover", "router", "backend",
@@ -800,7 +570,8 @@ void Router::forward(const std::shared_ptr<Connection>& conn,
 }
 
 void Router::fan_out_reload(const std::shared_ptr<Connection>& conn,
-                            const Request& req, const std::string& line) {
+                            const Request& req, const std::string& line,
+                            Lanes& lanes) {
   // Reload reaches every backend, breaker or no breaker: a suspect
   // backend that is actually alive must not come back serving a stale
   // profile set. Never retried — a lost response may mean the swap
@@ -811,22 +582,10 @@ void Router::fan_out_reload(const std::shared_ptr<Connection>& conn,
   std::string first_error;
   for (std::size_t idx = 0; idx < backends_.size(); ++idx) {
     Backend& b = *backends_[idx];
-    Client& c = conn->backends[idx];
-    if (!c.connected()) {
-      Result<Client> fresh =
-          Client::connect(b.endpoint, config_.connect_timeout);
-      if (!fresh.ok()) {
-        b.breaker.record_failure(Clock::now());
-        if (first_error.empty())
-          first_error = b.endpoint + ": " + fresh.error().message;
-        continue;
-      }
-      c = std::move(fresh.value());
-    }
-    Result<Response> r = c.call(line, config_.io_timeout);
+    Result<Response> r =
+        call_backend(lanes[idx], idx, line, config_.io_timeout);
     if (!r.ok()) {
       b.breaker.record_failure(Clock::now());
-      c = Client();
       if (first_error.empty())
         first_error = b.endpoint + ": " + r.error().message;
       continue;
@@ -856,7 +615,7 @@ void Router::handle_health_local(const std::shared_ptr<Connection>& conn,
   json::Value body;
   body.set("role", json::Value("router"));
   body.set("uptime_ms", json::Value(ms_since(started_at_, Clock::now())));
-  body.set("draining", json::Value(stopping_.load()));
+  body.set("draining", json::Value(stop_requested()));
   json::Array rows;
   std::size_t healthy = 0;
   for (const auto& b : backends_) {
@@ -892,31 +651,8 @@ void Router::handle_health_local(const std::shared_ptr<Connection>& conn,
   conn->send_line(ok_response(req.id, std::move(body)));
 }
 
-void Router::handle_metrics_local(const std::shared_ptr<Connection>& conn,
-                                  const Request& req) {
-  if (!obs::enabled()) {
-    conn->send_line(error_response(
-        req.id, kCodeObsDisabled,
-        "observability disabled (compiled out or OCPS_OBS unset)"));
-    return;
-  }
-  refresh_gauges();
-  std::ostringstream prom;
-  obs::write_metrics_prometheus(prom);
-  std::ostringstream js;
-  obs::write_metrics_json(js);
-  Result<json::Value> metrics = json::parse(js.str());
-
-  json::Value body;
-  body.set("role", json::Value("router"));
-  body.set("uptime_ms", json::Value(ms_since(started_at_, Clock::now())));
-  if (metrics.ok()) body.set("metrics", std::move(metrics.value()));
-  body.set("prometheus", json::Value(prom.str()));
-  conn->send_line(ok_response(req.id, std::move(body)));
-}
-
 void Router::handle_trace_local(const std::shared_ptr<Connection>& conn,
-                                const Request& req) {
+                                const Request& req, Lanes& lanes) {
   // Debug fan-out: gather every process's retained spans for this id.
   // Best effort and breaker-blind — tracing must work exactly when the
   // fleet is misbehaving, so open breakers are ignored, probe failures
@@ -933,20 +669,9 @@ void Router::handle_trace_local(const std::shared_ptr<Connection>& conn,
   probe.trace_id = req.trace_id;
   const std::string probe_line = encode_request(probe);
   for (std::size_t idx = 0; idx < backends_.size(); ++idx) {
-    Backend& b = *backends_[idx];
-    Client& c = conn->backends[idx];
-    if (!c.connected()) {
-      Result<Client> fresh =
-          Client::connect(b.endpoint, config_.connect_timeout);
-      if (!fresh.ok()) continue;
-      c = std::move(fresh.value());
-    }
-    Result<Response> r = c.call(probe_line, config_.io_timeout);
-    if (!r.ok()) {
-      c = Client();
-      continue;
-    }
-    if (!r.value().ok) continue;  // e.g. 501: obs off on that backend
+    Result<Response> r =
+        call_backend(lanes[idx], idx, probe_line, config_.io_timeout);
+    if (!r.ok() || !r.value().ok) continue;  // e.g. 501: obs off there
     const json::Value* backend_procs = r.value().body.find("procs");
     if (!backend_procs || !backend_procs->is_array()) continue;
     for (const json::Value& proc : backend_procs->as_array()) {
@@ -963,46 +688,8 @@ void Router::handle_trace_local(const std::shared_ptr<Connection>& conn,
   conn->send_line(ok_response(req.id, std::move(body)));
 }
 
-void Router::handle_slo_local(const std::shared_ptr<Connection>& conn,
-                              const Request& req) {
-  // Same body shape as the daemon's `slo` handler, plus the router role
-  // marker; answers even with obs compiled out (the tracker is
-  // registry-independent).
-  obs::SloTracker::Status slo =
-      slo_->status(obs::SloTracker::steady_now_ns());
-  json::Value body;
-  body.set("role", json::Value("router"));
-  body.set("configured", json::Value(slo_->configured()));
-  json::Array objectives;
-  for (const obs::SloTracker::Objective& o : slo.objectives) {
-    json::Value row;
-    row.set("name", json::Value(o.name));
-    row.set("target", json::Value(o.target));
-    row.set("budget", json::Value(o.budget));
-    row.set("burn_5m", json::Value(o.burn_short));
-    row.set("burn_1h", json::Value(o.burn_long));
-    row.set("breaching", json::Value(o.breaching));
-    objectives.push_back(std::move(row));
-  }
-  body.set("objectives", json::Value(std::move(objectives)));
-  json::Array alerts;
-  for (const obs::SloTracker::Alert& a : slo.alerts) {
-    json::Value row;
-    row.set("seq", json::Value(static_cast<double>(a.seq)));
-    row.set("at_ns", json::Value(static_cast<double>(a.at_ns)));
-    row.set("objective", json::Value(a.objective));
-    row.set("burn_5m", json::Value(a.burn_short));
-    row.set("burn_1h", json::Value(a.burn_long));
-    alerts.push_back(std::move(row));
-  }
-  body.set("alerts", json::Value(std::move(alerts)));
-  body.set("alerts_total",
-           json::Value(static_cast<double>(slo.alerts_total)));
-  conn->send_line(ok_response(req.id, std::move(body)));
-}
-
 void Router::handle_decisions_local(const std::shared_ptr<Connection>& conn,
-                                    const Request& req) {
+                                    const Request& req, Lanes& lanes) {
   // Audit fan-out: every backend keeps its own decision ring, so the
   // fleet view is the union. Breaker-blind for the same reason as
   // trace — the audit trail matters most while the fleet misbehaves —
@@ -1018,23 +705,12 @@ void Router::handle_decisions_local(const std::shared_ptr<Connection>& conn,
   probe.limit = req.limit;
   const std::string probe_line = encode_request(probe);
   for (std::size_t idx = 0; idx < backends_.size(); ++idx) {
-    Backend& b = *backends_[idx];
-    Client& c = conn->backends[idx];
-    if (!c.connected()) {
-      Result<Client> fresh =
-          Client::connect(b.endpoint, config_.connect_timeout);
-      if (!fresh.ok()) continue;
-      c = std::move(fresh.value());
-    }
-    Result<Response> r = c.call(probe_line, config_.io_timeout);
-    if (!r.ok()) {
-      c = Client();
-      continue;
-    }
-    if (!r.value().ok) continue;  // e.g. 404: id unknown on that backend
+    Result<Response> r =
+        call_backend(lanes[idx], idx, probe_line, config_.io_timeout);
+    if (!r.ok() || !r.value().ok) continue;  // e.g. 404: id unknown there
     json::Value row = r.value().body;
     row.set("backend", json::Value(static_cast<double>(idx)));
-    row.set("endpoint", json::Value(b.endpoint));
+    row.set("endpoint", json::Value(backends_[idx]->endpoint));
     rows.push_back(std::move(row));
   }
   if (req.decision_id != 0 && rows.empty()) {
@@ -1048,33 +724,22 @@ void Router::handle_decisions_local(const std::shared_ptr<Connection>& conn,
 }
 
 void Router::handle_reconcile_local(const std::shared_ptr<Connection>& conn,
-                                    const Request& req) {
+                                    const Request& req, Lanes& lanes) {
   // Decision ids are per-daemon counters: only the backend that issued
   // the id accepts the reconcile (others answer 404), so walk the fleet
   // and relay the first acceptance. A definitive non-404 rejection
   // (422 size mismatch, 400) is relayed immediately — retrying it
   // elsewhere could double-apply on an id collision.
-  Request fwd = req;
-  const std::string fwd_line = encode_request(fwd);
+  const std::string fwd_line = encode_request(req);
   for (std::size_t idx = 0; idx < backends_.size(); ++idx) {
-    Backend& b = *backends_[idx];
-    Client& c = conn->backends[idx];
-    if (!c.connected()) {
-      Result<Client> fresh =
-          Client::connect(b.endpoint, config_.connect_timeout);
-      if (!fresh.ok()) continue;
-      c = std::move(fresh.value());
-    }
-    Result<Response> r = c.call(fwd_line, config_.io_timeout);
-    if (!r.ok()) {
-      c = Client();
-      continue;
-    }
+    Result<Response> r =
+        call_backend(lanes[idx], idx, fwd_line, config_.io_timeout);
+    if (!r.ok()) continue;
     Response& resp = r.value();
     if (!resp.ok && resp.code == kCodeNotFound) continue;
     json::Value body = resp.body;
     body.set("backend", json::Value(static_cast<double>(idx)));
-    body.set("endpoint", json::Value(b.endpoint));
+    body.set("endpoint", json::Value(backends_[idx]->endpoint));
     if (resp.ok) {
       body.set("id", json::Value(static_cast<double>(req.id)));
       conn->send_line(body.dump());
@@ -1097,8 +762,8 @@ void Router::health_loop() {
   probe.op = Op::kMetrics;
   const std::string probe_line = encode_request(probe);
 
-  while (!stopping_.load()) {
-    for (std::size_t i = 0; i < backends_.size() && !stopping_.load();
+  while (!stop_requested()) {
+    for (std::size_t i = 0; i < backends_.size() && !stop_requested();
          ++i) {
       Backend& b = *backends_[i];
       Clock::time_point now = Clock::now();
@@ -1109,38 +774,25 @@ void Router::health_loop() {
       counters_->health_probes.fetch_add(1);
       OCPS_OBS_COUNT("serve.router.health_probes", 1);
 
-      bool okay = false;
-      if (!b.probe_client.connected()) {
-        Result<Client> fresh =
-            Client::connect(b.endpoint, config_.connect_timeout);
-        if (fresh.ok()) b.probe_client = std::move(fresh.value());
-      }
-      if (b.probe_client.connected()) {
-        Result<Response> r =
-            b.probe_client.call(probe_line, config_.io_timeout);
-        if (r.ok() &&
-            (r.value().ok || r.value().code == kCodeObsDisabled)) {
-          // 501 = obs off on the backend: alive, just not scrapeable.
-          okay = true;
-          if (r.value().ok) {
-            const json::Value* metrics = r.value().body.find("metrics");
-            const json::Value* counters =
-                metrics ? metrics->find("counters") : nullptr;
-            if (counters) {
-              auto pick = [&](const char* name) {
-                const json::Value* v = counters->find(name);
-                return v && v->is_number() ? v->as_number() : 0.0;
-              };
-              std::lock_guard<std::mutex> lock(b.fleet_mu);
-              b.fleet_requests = pick("serve.requests");
-              b.fleet_answered = pick("serve.answered");
-              b.fleet_shed = pick("serve.shed");
-              b.fleet_deadline = pick("serve.deadline_exceeded");
-            }
-          }
-        } else if (!r.ok()) {
-          b.probe_client = Client();  // reconnect next round
-        }
+      Result<Response> r =
+          call_backend(b.probe_client, i, probe_line, config_.io_timeout);
+      // 501 = obs off on the backend: alive, just not scrapeable.
+      const bool okay =
+          r.ok() && (r.value().ok || r.value().code == kCodeObsDisabled);
+      const json::Value* metrics =
+          okay ? r.value().body.find("metrics") : nullptr;
+      const json::Value* counters =
+          metrics ? metrics->find("counters") : nullptr;
+      if (counters) {
+        auto pick = [&](const char* name) {
+          const json::Value* v = counters->find(name);
+          return v && v->is_number() ? v->as_number() : 0.0;
+        };
+        std::lock_guard<std::mutex> lock(b.fleet_mu);
+        b.fleet_requests = pick("serve.requests");
+        b.fleet_answered = pick("serve.answered");
+        b.fleet_shed = pick("serve.shed");
+        b.fleet_deadline = pick("serve.deadline_exceeded");
       }
       if (okay) {
         b.breaker.record_success(Clock::now());
@@ -1154,7 +806,7 @@ void Router::health_loop() {
     refresh_gauges();
 
     Clock::time_point wake = Clock::now() + config_.health_interval;
-    while (!stopping_.load() && Clock::now() < wake)
+    while (!stop_requested() && Clock::now() < wake)
       std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
   }
 }
@@ -1189,21 +841,8 @@ void Router::refresh_gauges() {
   obs::gauge("serve.fleet.shed").set(shed);
   obs::gauge("serve.fleet.deadline_exceeded").set(deadline);
 
-  // Router-level SLO burn rates, recomputed per scrape. The names match
-  // the daemon's serve.slo.* series — each process exports its own view.
-  if (slo_->configured()) {
-    obs::SloTracker::Status slo =
-        slo_->status(obs::SloTracker::steady_now_ns());
-    for (const obs::SloTracker::Objective& o : slo.objectives) {
-      std::string base = "serve.slo." + o.name;
-      obs::gauge(base + ".target").set(o.target);
-      obs::gauge(base + ".burn_5m").set(o.burn_short);
-      obs::gauge(base + ".burn_1h").set(o.burn_long);
-      obs::gauge(base + ".breaching").set(o.breaching ? 1.0 : 0.0);
-    }
-    obs::gauge("serve.slo.alerts_total")
-        .set(static_cast<double>(slo.alerts_total));
-  }
+  // Router-level SLO burn rates, recomputed per scrape.
+  publish_slo_gauges(*slo_);
 }
 
 }  // namespace ocps::serve

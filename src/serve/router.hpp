@@ -5,7 +5,9 @@
 // fleet. The router speaks the exact same line-delimited JSON protocol
 // as the daemons on its front listeners (Unix socket and/or TCP), so
 // every existing client works unchanged, and spreads the work across N
-// backends:
+// backends. Its listeners, connection cap, framing and reader threads
+// are the daemon's own front end (serve/frontend.hpp); each client
+// connection's line handler owns that connection's backend lanes.
 //
 //   * Placement: consistent hashing with virtual nodes over the
 //     request's profile-set id (its sorted program list), so a tenant's
@@ -33,7 +35,7 @@
 //     `serve.router.backend_latency.<i>` histograms, and
 //     `serve.fleet.*` aggregates ingested from backend scrapes. The
 //     optional loopback HTTP listener exposes the same registry to
-//     Prometheus (shared responder in socket_util).
+//     Prometheus (the front end's responder, shared with the daemon).
 //   * Tracing: every forwarded request carries a trace context —
 //     the client's trace_id (or one the router mints), parent_span
 //     (the router's forward-span nonce) and hop+1 — and the router
@@ -53,12 +55,9 @@
 #include <vector>
 
 #include "serve/client.hpp"
+#include "serve/frontend.hpp"
 #include "serve/protocol.hpp"
 #include "util/result.hpp"
-
-namespace ocps {
-class NetFaultInjector;  // runtime/fault_injection.hpp
-}
 
 namespace ocps::obs {
 class SloTracker;  // obs/slo.hpp
@@ -147,35 +146,26 @@ class CircuitBreaker {
 // ---------------------------------------------------------------------------
 // The router.
 
-/// Router knobs (CLI flags of `ocps router` map 1:1 onto these). At
-/// least one front listener (socket_path / listen_address) is required,
-/// plus one or more backend endpoints.
-struct RouterConfig {
-  std::string socket_path;     ///< Unix front listener ("" = off)
-  std::string listen_address;  ///< TCP front listener ("" = off)
+/// Router knobs (CLI flags of `ocps router` map 1:1 onto these; the
+/// front listener and connection ones are FrontendConfig's). One or more
+/// backend endpoints are required. io_timeout also bounds each backend
+/// call. net_faults arms the front connections only, as on a daemon
+/// (accept failures and reset / trickle / stall write faults); backend
+/// lanes are never faulted here.
+struct RouterConfig : FrontendConfig {
   std::vector<std::string> backends;  ///< daemon endpoints (>= 1)
 
   std::size_t vnodes = 64;
   CircuitBreakerConfig breaker;
   std::chrono::milliseconds connect_timeout{1000};
-  std::chrono::milliseconds io_timeout{5000};
   std::chrono::milliseconds health_interval{500};
   double default_deadline_ms = 0.0;  ///< forward budget when none given
-  std::size_t max_connections = 256;
-
-  /// Prometheus exposition over HTTP on 127.0.0.1 (same contract as
-  /// ServeConfig::metrics_port: 0 = off, -1 = ephemeral).
-  int metrics_port = 0;
 
   /// Fleet-level SLOs evaluated on forward outcomes (what clients of the
   /// router actually experienced, failovers included). Same semantics as
   /// the ServeConfig twins: 0 disables the objective.
   double slo_p99_ms = 0.0;
   double slo_availability = 0.0;
-
-  /// Chaos seam for the router's own front listeners (accept faults
-  /// only; response faults are injected at the backends).
-  const NetFaultInjector* net_faults = nullptr;
 };
 
 /// The front-tier daemon. Same lifecycle contract as serve::Server:
@@ -189,14 +179,16 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   Result<bool> start();
-  void request_stop() noexcept { stopping_.store(true); }
+  void request_stop() noexcept { frontend_.request_stop(); }
   void stop();
-  void wait_until_stop_requested() const;
-  bool stop_requested() const { return stopping_.load(); }
+  void wait_until_stop_requested() const {
+    frontend_.wait_until_stop_requested();
+  }
+  bool stop_requested() const { return frontend_.stopping(); }
 
   const RouterConfig& config() const { return config_; }
-  int bound_metrics_port() const { return http_port_.load(); }
-  int bound_listen_port() const { return tcp_port_.load(); }
+  int bound_metrics_port() const { return frontend_.bound_metrics_port(); }
+  int bound_listen_port() const { return frontend_.bound_listen_port(); }
 
   /// Breaker state of backend `i` (for tests and `health`).
   CircuitBreaker::State breaker_state(std::size_t i) const;
@@ -222,44 +214,48 @@ class Router {
   static std::string route_key(const Request& req);
 
  private:
-  struct Connection;
   struct Backend;
+  /// One client connection's backend clients, indexed like backends_:
+  /// one lane per client connection, so reader threads never share a
+  /// backend socket.
+  using Lanes = std::vector<Client>;
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<Connection> conn);
   void health_loop();
-  void http_loop();
 
   void handle_line(const std::shared_ptr<Connection>& conn,
-                   const std::string& line);
+                   const std::string& line, Lanes& lanes);
   void handle_health_local(const std::shared_ptr<Connection>& conn,
                            const Request& req);
-  void handle_metrics_local(const std::shared_ptr<Connection>& conn,
-                            const Request& req);
   /// Fans a `trace` request out to every reachable backend and merges
   /// their proc entries with the router's own (one stitched timeline).
   void handle_trace_local(const std::shared_ptr<Connection>& conn,
-                          const Request& req);
-  /// Answers `slo` from the router's own tracker (fleet-level burn).
-  void handle_slo_local(const std::shared_ptr<Connection>& conn,
-                        const Request& req);
+                          const Request& req, Lanes& lanes);
   /// Fans a `decisions` request out to every reachable backend
   /// (breaker-blind, like trace — the audit trail must be readable while
   /// the fleet misbehaves) and returns one "backends" array of the
   /// per-daemon audit views.
   void handle_decisions_local(const std::shared_ptr<Connection>& conn,
-                              const Request& req);
+                              const Request& req, Lanes& lanes);
   /// Fans a `reconcile` out and relays the first backend that accepts
   /// it; decision ids are per-daemon counters, so only the issuing
   /// backend (in id order of the walk) reconciles successfully.
   void handle_reconcile_local(const std::shared_ptr<Connection>& conn,
-                              const Request& req);
+                              const Request& req, Lanes& lanes);
   /// forward() re-encodes the request with trace context stamped on
   /// (trace_id minted when absent, parent_span = this forward's span
   /// nonce, hop+1) — the relayed response stays verbatim.
-  void forward(const std::shared_ptr<Connection>& conn, const Request& req);
+  void forward(const std::shared_ptr<Connection>& conn, const Request& req,
+               Lanes& lanes);
   void fan_out_reload(const std::shared_ptr<Connection>& conn,
-                      const Request& req, const std::string& line);
+                      const Request& req, const std::string& line,
+                      Lanes& lanes);
+  /// Sends one request line to backend `idx` on `lane` (a connection's
+  /// lane or the prober's), connecting it first when it is down, within
+  /// min(connect_timeout, timeout). A transport error drops the lane —
+  /// its stream may hold half a response — so the next call reconnects.
+  Result<Response> call_backend(Client& lane, std::size_t idx,
+                                const std::string& line,
+                                std::chrono::milliseconds timeout);
   void refresh_gauges();
   void record_backend_latency(std::size_t idx, double ms);
   std::uint64_t next_trace_nonce();
@@ -268,23 +264,8 @@ class Router {
   std::unique_ptr<HashRing> ring_;
   std::vector<std::unique_ptr<Backend>> backends_;
 
-  int listen_fd_ = -1;  ///< Unix front listener
-  int lock_fd_ = -1;
-  int tcp_fd_ = -1;
-  std::atomic<int> tcp_port_{0};
-  int http_fd_ = -1;
-  std::atomic<int> http_port_{0};
-
-  std::atomic<bool> stopping_{false};
   std::atomic<bool> started_{false};
   std::atomic<bool> joined_{false};
-
-  std::mutex conns_mutex_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> reader_threads_;
-  std::thread accept_thread_;
-  std::thread health_thread_;
-  std::thread http_thread_;
 
   std::chrono::steady_clock::time_point started_at_;
 
@@ -301,6 +282,11 @@ class Router {
   /// so two routers do not mint colliding ids.
   std::uint64_t trace_seed_ = 0;
   std::atomic<std::uint64_t> trace_counter_{0};
+
+  /// Front listeners and reader threads; its hooks reach every member
+  /// above, so it is declared (and started) after them.
+  Frontend frontend_;
+  std::thread health_thread_;
 };
 
 }  // namespace ocps::serve

@@ -1,31 +1,22 @@
 // Daemon implementation. Threading model (see server.hpp for the tour):
 //
-//   accept thread  --> one reader thread per connection --> bounded queue
-//                                                        --> batching thread
+//   front end (accept thread --> one reader thread per connection)
+//       --> bounded queue --> batching thread
 //
 // Every blocking wait in the daemon is a poll()/wait_for() loop of at
-// most ~50 ms that re-checks stopping_, so request_stop() can be a pure
-// atomic store (and therefore safe to call from a signal handler) while
-// shutdown latency stays bounded. The drain ordering in stop() is what
-// guarantees zero in-flight loss: producers are joined before
+// most kPollMs that re-checks the stop flag, so request_stop() can be a
+// pure atomic store (and therefore safe to call from a signal handler)
+// while shutdown latency stays bounded. The drain ordering in stop() is
+// what guarantees zero in-flight loss: producers are joined before
 // producers_done_ lets the batching thread exit, so every admitted
 // request is answered before the last thread dies.
 
 #include "serve/server.hpp"
 
-#include <errno.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
-#include <sstream>
 #include <unordered_set>
 #include <utility>
 
@@ -36,8 +27,6 @@
 #include "locality/sanitize.hpp"
 #include "obs/obs.hpp"
 #include "obs/slo.hpp"
-#include "runtime/fault_injection.hpp"
-#include "serve/socket_util.hpp"
 #include "util/check.hpp"
 
 namespace ocps::serve {
@@ -45,13 +34,6 @@ namespace ocps::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-// A connection writing a line this long without a newline is not
-// speaking the protocol; cut it off instead of buffering forever.
-constexpr std::size_t kMaxLineBytes = 1 << 20;
-
-// Poll interval bounding how long any thread can miss stopping_.
-constexpr int kPollMs = 50;
 
 double ms_since(Clock::time_point start, Clock::time_point end) {
   return std::chrono::duration<double, std::milli>(end - start).count();
@@ -116,69 +98,6 @@ struct Server::AtomicCounters {
   std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> reloads{0};
   std::atomic<std::uint64_t> reload_rejected{0};
-};
-
-struct Server::Connection {
-  int fd = -1;
-  std::mutex write_mutex;  ///< reader (errors) and batcher both write
-  const NetFaultInjector* faults = nullptr;  ///< chaos seam (may be null)
-  std::chrono::milliseconds io_timeout{5000};
-  /// A write that timed out or hit a peer error poisons the connection:
-  /// further responses would interleave into a half-written line, so
-  /// both the reader and later writers give up on it instead.
-  std::atomic<bool> broken{false};
-
-  ~Connection() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  // Appends the newline and writes the whole line. Accepted fds are
-  // nonblocking; send_all retries EINTR, continues short writes, and
-  // polls POLLOUT on EAGAIN bounded by io_timeout. MSG_NOSIGNAL inside:
-  // a client that hung up must cost an error return, not a SIGPIPE.
-  bool send_line(std::string line) {
-    line.push_back('\n');
-    std::lock_guard<std::mutex> guard(write_mutex);
-    if (broken.load(std::memory_order_relaxed)) return false;
-
-    NetFaultInjector::WriteFault fault = NetFaultInjector::WriteFault::kNone;
-    if (faults) fault = faults->write_fault();
-    if (fault == NetFaultInjector::WriteFault::kStall)
-      std::this_thread::sleep_for(faults->stall_duration());
-    if (fault == NetFaultInjector::WriteFault::kReset) {
-      // Cut the response mid-line and tear the connection down: the
-      // peer reads a partial frame and then EOF, exactly what a crashed
-      // daemon looks like from the other side.
-      (void)send_all(fd, line.data(), line.size() / 2, io_timeout);
-      ::shutdown(fd, SHUT_RDWR);
-      broken.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    if (fault == NetFaultInjector::WriteFault::kTrickle) {
-      // Dribble the head out a byte at a time so the peer exercises its
-      // partial-read reassembly; the tail goes out normally.
-      std::size_t head = std::min<std::size_t>(line.size(), 32);
-      for (std::size_t i = 0; i < head; ++i) {
-        if (!send_all(fd, line.data() + i, 1, io_timeout)) {
-          broken.store(true, std::memory_order_relaxed);
-          return false;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      if (!send_all(fd, line.data() + head, line.size() - head,
-                    io_timeout)) {
-        broken.store(true, std::memory_order_relaxed);
-        return false;
-      }
-      return true;
-    }
-
-    if (!send_all(fd, line.data(), line.size(), io_timeout)) {
-      broken.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    return true;
-  }
 };
 
 // Daemon-side telemetry that is not a plain registry metric: the sliding
@@ -301,9 +220,20 @@ struct Server::SolverState {
 
 Server::Server(ServeConfig config, std::vector<ProgramModel> models)
     : config_(std::move(config)),
-      counters_(std::make_unique<AtomicCounters>()) {
-  OCPS_CHECK(!config_.socket_path.empty() || !config_.listen_address.empty(),
-             "serve: a listener is required (socket path and/or TCP address)");
+      counters_(std::make_unique<AtomicCounters>()),
+      frontend_(
+          config_, "serve.conn_limit_rejected",
+          {[this] {
+             return [this](const std::shared_ptr<Connection>& conn,
+                           const std::string& line) {
+               handle_line(conn, line);
+             };
+           },
+           [this] {
+             counters_->malformed.fetch_add(1);
+             OCPS_OBS_COUNT("serve.malformed", 1);
+           },
+           [this] { refresh_latency_gauges(); }}) {
   OCPS_CHECK(config_.capacity > 0, "serve: capacity must be positive");
   OCPS_CHECK(config_.max_batch > 0, "serve: max_batch must be positive");
   OCPS_CHECK(config_.queue_capacity > 0,
@@ -311,19 +241,8 @@ Server::Server(ServeConfig config, std::vector<ProgramModel> models)
   OCPS_CHECK(config_.default_deadline_ms >= 0.0 &&
                  std::isfinite(config_.default_deadline_ms),
              "serve: default_deadline_ms must be finite and >= 0");
-  OCPS_CHECK(config_.metrics_port >= -1 && config_.metrics_port <= 65535,
-             "serve: metrics_port must be in [-1, 65535]");
   OCPS_CHECK(config_.latency_window_s > 0,
              "serve: latency_window_s must be positive");
-  OCPS_CHECK(config_.max_connections > 0,
-             "serve: max_connections must be positive");
-  OCPS_CHECK(config_.io_timeout.count() > 0,
-             "serve: io_timeout must be positive");
-  OCPS_CHECK(config_.slo_p99_ms >= 0.0 && std::isfinite(config_.slo_p99_ms),
-             "serve: slo_p99_ms must be finite and >= 0");
-  OCPS_CHECK(config_.slo_availability >= 0.0 &&
-                 config_.slo_availability < 1.0,
-             "serve: slo_availability must be in [0, 1)");
   OCPS_CHECK(config_.decision_log_capacity > 0,
              "serve: decision_log_capacity must be positive");
   OCPS_CHECK(config_.drift_alpha > 0.0 && config_.drift_alpha <= 1.0,
@@ -333,10 +252,7 @@ Server::Server(ServeConfig config, std::vector<ProgramModel> models)
              "serve: drift_threshold must be finite and >= 0");
   telemetry_ = std::make_unique<Telemetry>(config_.latency_window_s,
                                            config_.slowlog_capacity);
-  obs::SloConfig slo_config;
-  slo_config.p99_ms = config_.slo_p99_ms;
-  slo_config.availability = config_.slo_availability;
-  slo_ = std::make_unique<obs::SloTracker>(slo_config);
+  slo_ = make_slo_tracker(config_.slo_p99_ms, config_.slo_availability);
   decisions_ = std::make_unique<obs::DecisionLog>(
       config_.decision_log_capacity);
   obs::DriftConfig drift_config;
@@ -352,93 +268,6 @@ Server::~Server() { stop(); }
 Result<bool> Server::start() {
   OCPS_CHECK(!started_.exchange(true), "Server::start called twice");
 
-  // Tears down every listener claimed so far; each failure path below
-  // must leave no fd or lock file behind.
-  auto teardown = [&] {
-    if (http_fd_ >= 0) {
-      ::close(http_fd_);
-      http_fd_ = -1;
-    }
-    if (tcp_fd_ >= 0) {
-      ::close(tcp_fd_);
-      tcp_fd_ = -1;
-    }
-    UnixListener claimed{listen_fd_, lock_fd_};
-    release_unix_socket(claimed, config_.socket_path);
-    listen_fd_ = -1;
-    lock_fd_ = -1;
-  };
-
-  // Race-safe claim of the Unix socket path (flock + connect probe; see
-  // socket_util.hpp) — a clear "in use by live daemon" error instead of
-  // two daemons silently stealing each other's socket. TCP-only daemons
-  // skip it entirely.
-  if (!config_.socket_path.empty()) {
-    Result<UnixListener> claimed = claim_unix_socket(config_.socket_path, 64);
-    if (!claimed.ok()) return claimed.error();
-    listen_fd_ = claimed.value().fd;
-    lock_fd_ = claimed.value().lock_fd;
-  }
-
-  // Optional TCP request listener sharing the same protocol + pipeline.
-  if (!config_.listen_address.empty()) {
-    Result<Endpoint> ep = parse_endpoint(config_.listen_address);
-    if (!ep.ok()) {
-      teardown();
-      return ep.error();
-    }
-    if (!ep.value().is_tcp()) {
-      teardown();
-      return Err(ErrorCode::kInvalidArgument,
-                 "--listen must be host:port, got: " +
-                     config_.listen_address);
-    }
-    Result<int> fd = listen_tcp(ep.value().host, ep.value().port, 64);
-    if (!fd.ok()) {
-      teardown();
-      return fd.error();
-    }
-    tcp_fd_ = fd.value();
-    Result<std::uint16_t> port = bound_tcp_port(tcp_fd_);
-    if (!port.ok()) {
-      teardown();
-      return port.error();
-    }
-    tcp_port_.store(port.value());
-  }
-
-  // Optional Prometheus exposition listener, loopback only. -1 asks the
-  // kernel for an ephemeral port (tests); the bound port is read back.
-  if (config_.metrics_port != 0) {
-    auto fail = [&](const std::string& what) -> Result<bool> {
-      int err = errno;
-      teardown();
-      return Err(ErrorCode::kIoError, what + ": " + std::strerror(err));
-    };
-    http_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (http_fd_ < 0) return fail("metrics socket()");
-    int one = 1;
-    ::setsockopt(http_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in http_addr{};
-    http_addr.sin_family = AF_INET;
-    http_addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    http_addr.sin_port =
-        htons(config_.metrics_port > 0
-                  ? static_cast<std::uint16_t>(config_.metrics_port)
-                  : 0);
-    if (::bind(http_fd_, reinterpret_cast<sockaddr*>(&http_addr),
-               sizeof(http_addr)) != 0)
-      return fail("metrics bind(127.0.0.1:" +
-                  std::to_string(config_.metrics_port) + ")");
-    if (::listen(http_fd_, 16) != 0) return fail("metrics listen()");
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(http_fd_, reinterpret_cast<sockaddr*>(&bound), &len) !=
-        0)
-      return fail("metrics getsockname()");
-    http_port_.store(ntohs(bound.sin_port));
-  }
-
   // Eager registration: the per-stage histograms and SLO gauges exist
   // from the first scrape (zero-valued before traffic) so dashboards and
   // the CI exposition checker see a stable series set.
@@ -453,56 +282,24 @@ Result<bool> Server::start() {
   }
 
   started_at_ = Clock::now();
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  Result<bool> listening = frontend_.start();
+  if (!listening.ok()) return listening;
   batch_thread_ = std::thread([this] { batch_loop(); });
-  if (http_fd_ >= 0) http_thread_ = std::thread([this] { http_loop(); });
   return Ok(true);
 }
 
 void Server::stop() {
-  stopping_.store(true);
+  frontend_.request_stop();
   if (!started_.load() || joined_.exchange(true)) return;
 
-  // 1. No new connections (the metrics listener is independent of the
-  // request pipeline, so it goes down in the same phase).
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (http_thread_.joinable()) http_thread_.join();
-  if (http_fd_ >= 0) {
-    ::close(http_fd_);
-    http_fd_ = -1;
-  }
-  if (tcp_fd_ >= 0) {
-    ::close(tcp_fd_);
-    tcp_fd_ = -1;
-  }
-  UnixListener claimed{listen_fd_, lock_fd_};
-  release_unix_socket(claimed, config_.socket_path);
-  listen_fd_ = -1;
-  lock_fd_ = -1;
-
-  // 2. No new requests: join every reader (each notices stopping_ within
-  // one poll interval and finishes the line it was handling).
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> guard(conns_mutex_);
-    readers.swap(reader_threads_);
-  }
-  for (std::thread& t : readers)
-    if (t.joinable()) t.join();
+  // 1 + 2. No new connections, then no new requests (frontend.hpp).
+  frontend_.stop();
 
   // 3. Only now may the batching thread exit on empty — everything that
   // made it into the queue gets answered first (zero in-flight loss).
   producers_done_.store(true);
   queue_cv_.notify_all();
   if (batch_thread_.joinable()) batch_thread_.join();
-
-  std::lock_guard<std::mutex> guard(conns_mutex_);
-  conns_.clear();
-}
-
-void Server::wait_until_stop_requested() const {
-  while (!stopping_.load())
-    std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
 }
 
 std::size_t Server::queue_depth() const {
@@ -530,124 +327,6 @@ Server::Counters Server::counters() const {
 std::shared_ptr<const ProfileSet> Server::profiles() const {
   std::lock_guard<std::mutex> guard(profiles_mutex_);
   return profiles_;
-}
-
-// ---------------------------------------------------------------------------
-// Socket threads.
-
-void Server::accept_loop() {
-  while (!stopping_.load()) {
-    pollfd pfds[2];
-    nfds_t nfds = 0;
-    if (listen_fd_ >= 0) pfds[nfds++] = {listen_fd_, POLLIN, 0};
-    if (tcp_fd_ >= 0) pfds[nfds++] = {tcp_fd_, POLLIN, 0};
-    int ready = ::poll(pfds, nfds, kPollMs);
-    if (ready <= 0) continue;  // timeout or EINTR: re-check stopping_
-    for (nfds_t i = 0; i < nfds; ++i) {
-      if (!(pfds[i].revents & POLLIN)) continue;
-      // Accepted fds are nonblocking: every read/write below goes
-      // through a poll-bounded loop, so a stalled peer can never wedge
-      // a daemon thread in the kernel.
-      int fd = ::accept4(pfds[i].fd, nullptr, nullptr,
-                         SOCK_CLOEXEC | SOCK_NONBLOCK);
-      if (fd < 0) continue;
-      if (config_.net_faults && config_.net_faults->fail_accept()) {
-        // Injected accept failure: the peer sees an immediate EOF, as
-        // if the daemon ran out of fds and dropped the connection.
-        ::close(fd);
-        continue;
-      }
-      auto conn = std::make_shared<Connection>();
-      conn->fd = fd;
-      conn->faults = config_.net_faults;
-      conn->io_timeout = config_.io_timeout;
-      std::lock_guard<std::mutex> guard(conns_mutex_);
-      if (stopping_.load()) continue;  // conn dtor closes the fd
-      if (conns_.size() >= config_.max_connections) {
-        // Explicit refusal beats letting the backlog time out: the
-        // client gets a line it can parse and retry against a replica.
-        OCPS_OBS_COUNT("serve.conn_limit_rejected", 1);
-        conn->send_line(error_response(
-            0, kCodeShuttingDown,
-            "connection limit reached (" +
-                std::to_string(config_.max_connections) + ")"));
-        continue;  // conn dtor closes the fd
-      }
-      conns_.push_back(conn);
-      reader_threads_.emplace_back([this, conn] { reader_loop(conn); });
-    }
-  }
-}
-
-void Server::reader_loop(std::shared_ptr<Connection> conn) {
-  std::string buffer;
-  Clock::time_point last_progress = Clock::now();
-  while (!stopping_.load()) {
-    if (conn->broken.load(std::memory_order_relaxed)) break;
-    // A partial line that stops growing is a stalled or byte-trickling
-    // peer; answer 400 and drop it rather than buffer a frame forever.
-    if (!buffer.empty() &&
-        Clock::now() - last_progress > config_.io_timeout) {
-      counters_->malformed.fetch_add(1);
-      OCPS_OBS_COUNT("serve.malformed", 1);
-      conn->send_line(error_response(0, kCodeBadRequest,
-                                     "request line stalled mid-frame"));
-      break;
-    }
-    pollfd pfd{conn->fd, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, kPollMs);
-    if (ready <= 0) continue;
-    char chunk[4096];
-    ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-    if (n == 0) break;  // client hung up
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      break;
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    last_progress = Clock::now();
-    std::size_t pos;
-    while ((pos = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      handle_line(conn, line);
-    }
-    if (buffer.size() > kMaxLineBytes) {
-      counters_->malformed.fetch_add(1);
-      OCPS_OBS_COUNT("serve.malformed", 1);
-      conn->send_line(
-          error_response(0, kCodeBadRequest, "request line too long"));
-      break;
-    }
-  }
-  // Drop this connection from the server's set so a long-lived daemon
-  // doesn't accumulate dead fds; Pending entries still holding the
-  // shared_ptr keep the fd alive until their responses are written.
-  std::lock_guard<std::mutex> guard(conns_mutex_);
-  conns_.erase(std::remove(conns_.begin(), conns_.end(), conn),
-               conns_.end());
-}
-
-// ---------------------------------------------------------------------------
-// Prometheus HTTP listener. One short-lived connection per scrape,
-// handled serially: a scrape every few seconds is the design load, and a
-// stalled scraper can block no one but the next scraper.
-
-void Server::http_loop() {
-  while (!stopping_.load()) {
-    pollfd pfd{http_fd_, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, kPollMs);
-    if (ready <= 0) continue;
-    int fd = ::accept4(http_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) continue;
-    // Shared responder (socket_util): same surface as the router's.
-    handle_metrics_http_client(
-        fd, [this] { return stopping_.load(); },
-        [this] { refresh_latency_gauges(); });
-    ::close(fd);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -721,7 +400,7 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
       break;
   }
 
-  if (stopping_.load()) {
+  if (stop_requested()) {
     conn->send_line(
         error_response(req.id, kCodeShuttingDown, "daemon is draining"));
     return;
@@ -772,7 +451,7 @@ void Server::handle_health(const std::shared_ptr<Connection>& conn,
   body.set("programs", json::Value(std::move(names)));
   body.set("queue_depth",
            json::Value(static_cast<double>(queue_depth())));
-  body.set("draining", json::Value(stopping_.load()));
+  body.set("draining", json::Value(stop_requested()));
   Counters c = counters();
   json::Value cnt;
   cnt.set("requests", json::Value(static_cast<double>(c.requests)));
@@ -877,19 +556,7 @@ void Server::refresh_latency_gauges() {
   }
 
   // SLO burn rates, recomputed per scrape like the quantile gauges.
-  if (slo_->configured()) {
-    obs::SloTracker::Status slo =
-        slo_->status(obs::SloTracker::steady_now_ns());
-    for (const obs::SloTracker::Objective& o : slo.objectives) {
-      std::string base = "serve.slo." + o.name;
-      obs::gauge(base + ".target").set(o.target);
-      obs::gauge(base + ".burn_5m").set(o.burn_short);
-      obs::gauge(base + ".burn_1h").set(o.burn_long);
-      obs::gauge(base + ".breaching").set(o.breaching ? 1.0 : 0.0);
-    }
-    obs::gauge("serve.slo.alerts_total")
-        .set(static_cast<double>(slo.alerts_total));
-  }
+  publish_slo_gauges(*slo_);
 
   // Decision-quality gauges (dp.decision.* / dp.drift.*), same
   // recompute-per-scrape contract as the quantile gauges above.
@@ -900,28 +567,13 @@ void Server::refresh_latency_gauges() {
 
 void Server::handle_metrics(const std::shared_ptr<Connection>& conn,
                             const Request& req) {
-  if (!obs::enabled()) {
-    conn->send_line(error_response(
-        req.id, kCodeObsDisabled,
-        "observability disabled (compiled out or OCPS_OBS unset)"));
-    return;
-  }
-  refresh_latency_gauges();
-  std::ostringstream prom;
-  obs::write_metrics_prometheus(prom);
-  std::ostringstream js;
-  obs::write_metrics_json(js);
-  Result<json::Value> metrics = json::parse(js.str());
-
-  json::Value body;
-  body.set("version",
-           json::Value(static_cast<double>(profile_version())));
-  body.set("uptime_ms", json::Value(ms_since(started_at_, Clock::now())));
-  body.set("window_s",
+  json::Value head;
+  head.set("version", json::Value(static_cast<double>(profile_version())));
+  head.set("uptime_ms", json::Value(ms_since(started_at_, Clock::now())));
+  head.set("window_s",
            json::Value(static_cast<double>(config_.latency_window_s)));
-  if (metrics.ok()) body.set("metrics", std::move(metrics.value()));
-  body.set("prometheus", json::Value(prom.str()));
-  conn->send_line(ok_response(req.id, std::move(body)));
+  conn->send_line(metrics_response(req.id, std::move(head),
+                                   [this] { refresh_latency_gauges(); }));
 }
 
 void Server::handle_slowlog(const std::shared_ptr<Connection>& conn,
@@ -974,36 +626,7 @@ void Server::handle_slo(const std::shared_ptr<Connection>& conn,
                         const Request& req) {
   // Like slowlog, the SLO engine is server-owned state independent of
   // the obs registry: it answers even with obs compiled out.
-  obs::SloTracker::Status slo =
-      slo_->status(obs::SloTracker::steady_now_ns());
-  json::Value body;
-  body.set("configured", json::Value(slo_->configured()));
-  json::Array objectives;
-  for (const obs::SloTracker::Objective& o : slo.objectives) {
-    json::Value row;
-    row.set("name", json::Value(o.name));
-    row.set("target", json::Value(o.target));
-    row.set("budget", json::Value(o.budget));
-    row.set("burn_5m", json::Value(o.burn_short));
-    row.set("burn_1h", json::Value(o.burn_long));
-    row.set("breaching", json::Value(o.breaching));
-    objectives.push_back(std::move(row));
-  }
-  body.set("objectives", json::Value(std::move(objectives)));
-  json::Array alerts;
-  for (const obs::SloTracker::Alert& a : slo.alerts) {
-    json::Value row;
-    row.set("seq", json::Value(static_cast<double>(a.seq)));
-    row.set("at_ns", json::Value(static_cast<double>(a.at_ns)));
-    row.set("objective", json::Value(a.objective));
-    row.set("burn_5m", json::Value(a.burn_short));
-    row.set("burn_1h", json::Value(a.burn_long));
-    alerts.push_back(std::move(row));
-  }
-  body.set("alerts", json::Value(std::move(alerts)));
-  body.set("alerts_total",
-           json::Value(static_cast<double>(slo.alerts_total)));
-  conn->send_line(ok_response(req.id, std::move(body)));
+  conn->send_line(ok_response(req.id, slo_json(*slo_)));
 }
 
 void Server::handle_decisions(const std::shared_ptr<Connection>& conn,
@@ -1096,7 +719,7 @@ void Server::batch_loop() {
       }
       // Test seam: admit but do not drain while held (never during the
       // shutdown drain, which must always make progress).
-      if (!stopping_.load() && config_.hold_batching &&
+      if (!stop_requested() && config_.hold_batching &&
           config_.hold_batching->load()) {
         lock.unlock();
         std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -11,6 +11,9 @@
 // same pipeline — speaking line-delimited JSON (serve/protocol.hpp).
 //
 // Request flow and the failure ladder:
+//   * the shared front end (serve/frontend.hpp) owns the listeners, the
+//     connection cap, framing and the reader threads; the daemon sees
+//     one request line at a time;
 //   * readers parse each line; malformed JSON → 400, never a crash;
 //   * solver requests enter a bounded queue — admission control: when the
 //     queue is full the request is shed immediately with 429 instead of
@@ -50,12 +53,9 @@
 
 #include "core/cost_matrix.hpp"
 #include "core/program_model.hpp"
+#include "serve/frontend.hpp"
 #include "serve/protocol.hpp"
 #include "util/result.hpp"
-
-namespace ocps {
-class NetFaultInjector;  // runtime/fault_injection.hpp
-}
 
 namespace ocps::obs {
 class SloTracker;  // obs/slo.hpp
@@ -63,23 +63,15 @@ class SloTracker;  // obs/slo.hpp
 
 namespace ocps::serve {
 
-/// Daemon knobs (CLI flags of `ocps serve` map 1:1 onto these).
-struct ServeConfig {
-  std::string socket_path;       ///< Unix socket path (required)
-  /// Optional TCP listener sharing the same protocol + pipeline, as
-  /// "host:port" (numeric IPv4 or "localhost"; port 0 = ephemeral, read
-  /// back via Server::bound_listen_port()). Empty = Unix socket only.
-  std::string listen_address;
+/// Daemon knobs (CLI flags of `ocps serve` map 1:1 onto these; the
+/// listener and connection ones are FrontendConfig's).
+struct ServeConfig : FrontendConfig {
   std::size_t capacity = 1024;   ///< default / maximum cache size in units
   std::size_t max_batch = 64;    ///< max solver requests per batch
   std::size_t queue_capacity = 256;  ///< admission-control bound
   std::size_t threads = 0;       ///< sweep width (0 = auto, see SweepOptions)
   double default_deadline_ms = 0.0;  ///< per-request default; 0 = none
 
-  /// Prometheus exposition over HTTP on 127.0.0.1. 0 = no listener;
-  /// a positive value binds that port; -1 binds an ephemeral port (tests
-  /// read the actual one back via Server::bound_metrics_port()).
-  int metrics_port = 0;
   /// Slow-request log size: the K slowest answered/expired requests kept
   /// for the `slowlog` op. 0 disables the log.
   std::size_t slowlog_capacity = 32;
@@ -102,21 +94,6 @@ struct ServeConfig {
   std::size_t decision_log_capacity = 128;
   double drift_alpha = 0.25;     ///< EWMA weight of the newest error
   double drift_threshold = 0.0;  ///< |error| EWMA breach level, 0 = off
-
-  /// Hard cap on concurrently connected request clients (both
-  /// transports). Connection 257 is accepted and immediately told 503 —
-  /// an explicit refusal beats a kernel backlog timeout.
-  std::size_t max_connections = 256;
-  /// Per-connection I/O bound: a response write that cannot make
-  /// progress for this long marks the connection broken, and a partial
-  /// request line that stops growing for this long is answered 400 and
-  /// the connection dropped. Slow peers must not pin daemon threads.
-  std::chrono::milliseconds io_timeout{5000};
-
-  /// Chaos seam: when set, the daemon consults this injector on every
-  /// accept and every response write (see runtime/fault_injection.hpp).
-  /// The injector must outlive the server. Production runs leave it null.
-  const NetFaultInjector* net_faults = nullptr;
 
   /// Test seam: while *hold_batching is true the batching thread admits
   /// requests into the queue but does not drain it, making queue-full and
@@ -170,7 +147,7 @@ class Server {
   /// Signals shutdown. Async-signal-safe (only stores an atomic): the
   /// SIGTERM handler of `ocps serve` calls exactly this. Threads notice
   /// within one poll interval (~50 ms) and begin the drain.
-  void request_stop() noexcept { stopping_.store(true); }
+  void request_stop() noexcept { frontend_.request_stop(); }
 
   /// Blocks until request_stop() is observed and the drain completes,
   /// then joins every thread and removes the socket file. Idempotent.
@@ -178,18 +155,20 @@ class Server {
 
   /// Blocks until request_stop() has been called (the `ocps serve` main
   /// thread parks here), without initiating the drain itself.
-  void wait_until_stop_requested() const;
+  void wait_until_stop_requested() const {
+    frontend_.wait_until_stop_requested();
+  }
 
-  bool stop_requested() const { return stopping_.load(); }
+  bool stop_requested() const { return frontend_.stopping(); }
   const ServeConfig& config() const { return config_; }
 
   /// Port the Prometheus HTTP listener actually bound (relevant when the
   /// config asked for an ephemeral port); 0 when the listener is off.
-  int bound_metrics_port() const { return http_port_.load(); }
+  int bound_metrics_port() const { return frontend_.bound_metrics_port(); }
 
   /// Port the TCP request listener actually bound (relevant when
   /// listen_address asked for port 0); 0 when TCP is off.
-  int bound_listen_port() const { return tcp_port_.load(); }
+  int bound_listen_port() const { return frontend_.bound_listen_port(); }
 
   /// Requests currently admitted but not yet batched.
   std::size_t queue_depth() const;
@@ -212,7 +191,6 @@ class Server {
   Counters counters() const;
 
  private:
-  struct Connection;
   struct SolverState;
 
   /// One admitted solver request waiting in the batching queue.
@@ -229,10 +207,7 @@ class Server {
     std::chrono::steady_clock::time_point serialize_start;
   };
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<Connection> conn);
   void batch_loop();
-  void http_loop();
 
   void handle_line(const std::shared_ptr<Connection>& conn,
                    const std::string& line);
@@ -266,18 +241,9 @@ class Server {
   std::shared_ptr<const ProfileSet> profiles() const;
 
   ServeConfig config_;
-  int listen_fd_ = -1;
-  int tcp_fd_ = -1;
-  std::atomic<int> tcp_port_{0};
-  /// flock-held lock file guarding the Unix socket path: two daemons
-  /// racing the stale-socket reclaim cannot both win the lock, so one
-  /// gets a clear "in use by a live daemon" error instead of silently
-  /// stealing the path.
-  int lock_fd_ = -1;
-  std::atomic<bool> stopping_{false};
   std::atomic<bool> started_{false};
   std::atomic<bool> joined_{false};
-  /// Set by stop() once accept + readers are joined: nothing can enqueue
+  /// Set by stop() once the front end is joined: nothing can enqueue
   /// any more, so the batching thread may exit when the queue drains.
   std::atomic<bool> producers_done_{false};
 
@@ -288,17 +254,6 @@ class Server {
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<Pending> queue_;
-
-  std::mutex conns_mutex_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> reader_threads_;
-
-  std::thread accept_thread_;
-  std::thread batch_thread_;
-
-  int http_fd_ = -1;
-  std::atomic<int> http_port_{0};
-  std::thread http_thread_;
 
   std::chrono::steady_clock::time_point started_at_;
 
@@ -324,6 +279,12 @@ class Server {
   /// Profile-set version stamped on the previous decision; the first
   /// decision after a version bump records trigger=reload.
   std::atomic<std::uint64_t> last_decision_version_{0};
+
+  /// Listeners, connection cap, framing and reader threads; its hooks
+  /// reach every member above, so it is declared (and started) after
+  /// them.
+  Frontend frontend_;
+  std::thread batch_thread_;
 };
 
 }  // namespace ocps::serve

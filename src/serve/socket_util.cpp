@@ -12,17 +12,13 @@
 
 #include <cctype>
 #include <cstring>
-#include <sstream>
 
-#include "obs/obs.hpp"
 
 namespace ocps::serve {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-constexpr int kPollMs = 50;
 
 int poll_fd(int fd, short events, int timeout_ms) {
   pollfd pfd{fd, events, 0};
@@ -299,66 +295,6 @@ bool send_all(int fd, const char* data, std::size_t len,
     return false;
   }
   return true;
-}
-
-void handle_metrics_http_client(int fd, const std::function<bool()>& stop,
-                                const std::function<void()>& refresh) {
-  // Read the request head; scrapers send tiny GETs, so bound everything.
-  std::string head;
-  Clock::time_point give_up = Clock::now() + std::chrono::seconds(2);
-  while (head.find("\r\n\r\n") == std::string::npos &&
-         head.find("\n\n") == std::string::npos) {
-    if (Clock::now() >= give_up || head.size() > 8192 || (stop && stop()))
-      return;
-    if (poll_fd(fd, POLLIN, kPollMs) <= 0) continue;
-    char chunk[1024];
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n == 0) break;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return;
-    }
-    head.append(chunk, static_cast<std::size_t>(n));
-  }
-
-  std::istringstream request(head);
-  std::string method, path;
-  request >> method >> path;
-
-  auto reply = [&](const char* status, const char* content_type,
-                   const std::string& body) {
-    std::ostringstream os;
-    os << "HTTP/1.1 " << status << "\r\nContent-Type: " << content_type
-       << "\r\nContent-Length: " << body.size()
-       << "\r\nConnection: close\r\n\r\n"
-       << body;
-    std::string data = os.str();
-    (void)send_all(fd, data.data(), data.size(),
-                   std::chrono::milliseconds(2000));
-  };
-
-  if (method != "GET") {
-    reply("405 Method Not Allowed", "text/plain; charset=utf-8",
-          "only GET is supported\n");
-    return;
-  }
-  if (path != "/metrics" && path != "/") {
-    reply("404 Not Found", "text/plain; charset=utf-8",
-          "unknown path; scrape /metrics\n");
-    return;
-  }
-  if (!obs::enabled()) {
-    // Explicit status instead of an empty page: with obs off (or the
-    // layer compiled out) there is nothing to expose, and a scraper
-    // should see that as a config problem, not an idle daemon.
-    reply("501 Not Implemented", "text/plain; charset=utf-8",
-          "observability disabled (run ocps serve, or set OCPS_OBS=1)\n");
-    return;
-  }
-  if (refresh) refresh();
-  std::ostringstream text;
-  obs::write_metrics_prometheus(text);
-  reply("200 OK", "text/plain; version=0.0.4; charset=utf-8", text.str());
 }
 
 }  // namespace ocps::serve

@@ -1,10 +1,9 @@
 // Shared socket plumbing for the serving plane.
 //
-// The daemon (server.cpp), the blocking client (client.cpp), and the
-// router front tier (router.cpp) all speak the same two transports — a
-// Unix domain stream socket or a TCP stream — so the address grammar,
-// the bind/connect rituals, and the tiny HTTP responder for Prometheus
-// scrapes live here once.
+// The front end shared by the daemon and the router (frontend.cpp) and
+// the blocking client (client.cpp) speak the same two transports — a
+// Unix domain stream socket or a TCP stream — so the address grammar and
+// the bind/connect/write rituals live here once.
 //
 // Endpoint grammar (one string, used by every CLI flag and config field):
 //   "/run/ocps.sock"        a Unix domain socket path
@@ -17,12 +16,15 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "util/result.hpp"
 
 namespace ocps::serve {
+
+/// Poll interval bounding how long any serving thread can miss a stop
+/// request: every blocking wait is a poll() or wait_for() of at most this.
+constexpr int kPollMs = 50;
 
 /// A parsed transport address.
 struct Endpoint {
@@ -86,13 +88,5 @@ Result<int> connect_endpoint(const Endpoint& ep,
 /// or timeout.
 bool send_all(int fd, const char* data, std::size_t len,
               std::chrono::milliseconds timeout);
-
-/// Minimal HTTP/1.1 responder for the loopback Prometheus listener: one
-/// short-lived connection per scrape. Reads the request head (bounded),
-/// then answers the 405/404/501/200 ladder; `refresh` runs before a 200
-/// scrape so derived gauges are current. Shared by the daemon and the
-/// router so both expose the identical surface.
-void handle_metrics_http_client(int fd, const std::function<bool()>& stop,
-                                const std::function<void()>& refresh);
 
 }  // namespace ocps::serve

@@ -1,9 +1,38 @@
 #include "util/thread_pool.hpp"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include "obs/obs.hpp"
 #include "util/config.hpp"
 
 namespace ocps {
+
+namespace {
+
+// CPUs the workers start on: the allowed set minus the creating thread's
+// CPU. Empty when the mask cannot be read or nothing else is allowed.
+std::vector<int> start_cpus(cpu_set_t& allowed) {
+  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return cpus;
+  const int creator = sched_getcpu();
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+    if (CPU_ISSET(cpu, &allowed) && cpu != creator) cpus.push_back(cpu);
+  return cpus;
+}
+
+// Moves the calling thread onto `cpu`, then restores the full mask so no
+// pin outlasts the move. Failures are ignored: placement only speeds up
+// the first loops.
+void start_on(int cpu, const cpu_set_t& allowed) {
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  (void)pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+  (void)pthread_setaffinity_np(pthread_self(), sizeof(allowed), &allowed);
+}
+
+}  // namespace
 
 std::size_t parallel_thread_count() {
   std::int64_t forced = env_int("OCPS_THREADS", 0);
@@ -16,9 +45,21 @@ ThreadPool::ThreadPool(std::size_t workers) {
   queues_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i)
     queues_.push_back(std::make_unique<WorkerQueue>());
+  // After the host has idled, the kernel starts every new thread of a
+  // fresh process on one CPU and spreads them only ~0.7 s later, so the
+  // first loops of a new pool ran on one core. Each worker first moves
+  // itself to a distinct CPU (round robin when workers outnumber CPUs).
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  const std::vector<int> cpus = start_cpus(allowed);
   threads_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i)
-    threads_.emplace_back([this, i] { worker_loop(i); });
+  for (std::size_t i = 0; i < workers; ++i) {
+    const int cpu = cpus.empty() ? -1 : cpus[i % cpus.size()];
+    threads_.emplace_back([this, i, cpu, allowed] {
+      if (cpu >= 0) start_on(cpu, allowed);
+      worker_loop(i);
+    });
+  }
   OCPS_OBS_GAUGE("pool.threads", workers + 1);  // + the calling thread
 }
 

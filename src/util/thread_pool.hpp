@@ -7,7 +7,8 @@
 //
 //  * workers are spawned once (ThreadPool::global(), sized from
 //    OCPS_THREADS / hardware_concurrency) and parked on a condition
-//    variable between loops;
+//    variable between loops; each starts by moving itself to its own
+//    CPU, then restores the full affinity mask (see the constructor);
 //  * jobs are plain {function pointer, context} pairs pushed into
 //    per-worker deques — owners pop newest-first, idle workers steal
 //    oldest-first from a random victim — and parallel loops are chunked:

@@ -5,7 +5,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -198,6 +200,32 @@ TEST_F(ObsTest, EventsFromMultipleThreadsCarryDistinctTids) {
     if (std::string(e.name) == "test.tid") tids.push_back(e.tid);
   ASSERT_EQ(tids.size(), 2u);
   EXPECT_NE(tids[0], tids[1]);
+}
+
+std::size_t vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  return 0;
+}
+
+TEST_F(ObsTest, RingsOfExitedThreadsAreReused) {
+  // Each ring reserves kRingCapacity events (256 KiB), and a server runs
+  // one short-lived reader thread per connection: a ring kept per thread
+  // ever started grows the process without bound.
+  auto short_thread = [] {
+    std::thread t([] { obs::instant_event("test.reuse", "test"); });
+    t.join();
+  };
+  for (int i = 0; i < 8; ++i) short_thread();
+  const std::size_t before = vm_size_kb();
+  for (int i = 0; i < 200; ++i) short_thread();
+  EXPECT_LT(vm_size_kb(), before + 16 * 1024);  // 200 rings: +50 MiB
+  // Reuse keeps every event exportable, each under its own thread's tid.
+  std::set<std::uint32_t> tids;
+  for (const auto& e : obs::trace_events())
+    if (std::string(e.name) == "test.reuse") tids.insert(e.tid);
+  EXPECT_EQ(tids.size(), 208u);
 }
 
 // ---------------------------------------------- minimal JSON round-trip

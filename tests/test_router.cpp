@@ -793,6 +793,27 @@ TEST_F(RouterTest, RouterFrontTcpListener) {
   router.stop();
 }
 
+TEST_F(RouterTest, RouterChaosResetCutsFrontAnswers) {
+  // The router's front connections take the injector's write faults, as
+  // a daemon's do: a reset answer reaches the client as half a line and
+  // then EOF, which it must see as a transport error.
+  NetFaultConfig chaos;
+  chaos.reset_rate = 1.0;
+  NetFaultInjector injector(chaos);
+  Fleet fleet(1, "rreset");
+  fleet.start_all();
+  RouterConfig cfg = fast_router_config(fleet, "rreset_r");
+  cfg.net_faults = &injector;
+  Router router(cfg);
+  ASSERT_TRUE(router.start().ok());
+  Result<Client> client = Client::connect(cfg.socket_path);
+  ASSERT_TRUE(client.ok());
+  Result<Response> first = client.value().call(partition_line(1));
+  EXPECT_FALSE(first.ok()) << "a cut answer must not read as a response";
+  EXPECT_GT(injector.injected_resets(), 0u);
+  router.stop();
+}
+
 TEST_F(RouterTest, RouterDrainRefusesNewWork) {
   Fleet fleet(1, "drain");
   fleet.start_all();

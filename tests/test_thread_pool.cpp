@@ -2,7 +2,11 @@
 // and the parallel_for / parallel_for_with free functions built on it.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <set>
@@ -24,6 +28,58 @@ TEST(ThreadPool, EveryIndexRunsExactlyOnce) {
   pool.for_each(
       0, n, [&](std::size_t i) { hits[i].fetch_add(1); }, /*width=*/4);
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+// One raw job per worker, each held until all have started, so every
+// worker reports its own affinity mask exactly once.
+struct MaskProbe {
+  std::size_t expected = 0;
+  std::atomic<std::size_t> started{0};
+  std::atomic<std::size_t> finished{0};
+  std::mutex mu;
+  std::vector<cpu_set_t> masks;
+  std::set<std::thread::id> threads;
+
+  static void run(void* ctx) noexcept {
+    auto* probe = static_cast<MaskProbe*>(ctx);
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    pthread_getaffinity_np(pthread_self(), sizeof(mask), &mask);
+    {
+      std::lock_guard<std::mutex> lock(probe->mu);
+      probe->masks.push_back(mask);
+      probe->threads.insert(std::this_thread::get_id());
+    }
+    probe->started.fetch_add(1);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (probe->started.load() < probe->expected &&
+           std::chrono::steady_clock::now() < give_up)
+      std::this_thread::yield();
+    probe->finished.fetch_add(1);
+  }
+};
+
+TEST(ThreadPool, WorkerPlacementLeavesNoLastingPin) {
+  // Workers move to distinct CPUs at start, then restore the full mask:
+  // none may stay pinned, or the scheduler could not balance them.
+  cpu_set_t process;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(process), &process), 0);
+  ThreadPool pool(3);
+  MaskProbe probe;
+  probe.expected = pool.workers();
+  for (std::size_t i = 0; i < probe.expected; ++i)
+    ASSERT_TRUE(pool.submit({&MaskProbe::run, &probe}));
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (probe.finished.load() < probe.expected &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(probe.finished.load(), probe.expected);
+  std::lock_guard<std::mutex> lock(probe.mu);
+  EXPECT_EQ(probe.threads.size(), probe.expected) << "a worker ran two probes";
+  for (const cpu_set_t& mask : probe.masks)
+    EXPECT_TRUE(CPU_EQUAL(&mask, &process)) << "worker left pinned";
 }
 
 TEST(ThreadPool, EmptyAndReversedRangesAreNoOps) {

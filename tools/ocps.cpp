@@ -177,7 +177,10 @@ commands:
       --slo-p99-ms X / --slo-availability A  fleet SLOs judged on what
                        clients experienced across failovers (same
                        semantics and serve.slo.* gauges as serve)
-      --chaos-accept-fail R / --chaos-seed S  front-listener chaos
+      --chaos-accept-fail R / --chaos-reset R / --chaos-trickle R /
+      --chaos-stall R / --chaos-stall-ms MS / --chaos-seed S
+                       front-connection chaos, as for serve (backend
+                       lanes are never faulted)
   query                send one request to a running daemon (or router)
                        and print the JSON response
       --socket PATH    daemon socket path, or any endpoint (required

@@ -8,7 +8,8 @@
 #   asan  (default)  ASan+UBSan over the full tier-1 suite
 #   tsan             ThreadSanitizer over the concurrency-heavy tests
 #                    (thread pool, batched sweep, serve daemon, router +
-#                    retry/breaker layer incl. the TCP suites). OCPS_THREADS
+#                    retry/breaker layer incl. the TCP suites, and the
+#                    shared front end under both owners). OCPS_THREADS
 #                    is forced to 4 so the pool actually runs multi-threaded
 #                    even on single-core CI runners — without it TSan
 #                    coverage of the sweep path would be vacuous there.
@@ -51,7 +52,7 @@ if [[ "$mode" == "tsan" ]]; then
   # Force real pool parallelism regardless of the runner's core count.
   export OCPS_THREADS=4
   ctest --test-dir "$build_dir" --output-on-failure -j 1 \
-    -R 'ThreadPool|BatchSweep|Serve|Router' "$@"
+    -R 'ThreadPool|BatchSweep|Serve|Router|Frontend' "$@"
 else
   # halt_on_error makes UBSan findings fail the run instead of just logging.
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
