@@ -58,6 +58,9 @@ void dp_detail::solve_layers(LayerLoop& loop, DpResult& out) {
   auto hi_of = [&](std::size_t j) {
     return loop.hi ? std::min(loop.hi[j], cap) : cap;
   };
+  auto row_of = [&](std::size_t j) {
+    return loop.cost.row(loop.members ? loop.members[j] : j);
+  };
   out.feasible = false;
   out.objective_value = 0.0;
   out.alloc.clear();  // keeps capacity; refilled on success
@@ -73,9 +76,10 @@ void dp_detail::solve_layers(LayerLoop& loop, DpResult& out) {
 
   // below = L_{j−1}: the kernel sees layer j through pointers offset by
   // it, so its state range [lo_j, C − R_j − L_{j−1}] and candidate bound
-  // c <= k are the feasible window in absolute terms.
+  // c <= k are the feasible window in absolute terms. Every layer but
+  // the last is built here; the last one is needed only at state C.
   std::size_t below = 0;
-  for (std::size_t j = 0; j < p; ++j) {
+  for (std::size_t j = 0; j + 1 < p; ++j) {
     const std::size_t lo = lo_of(j);
     const std::size_t top = cap - (lo_sum - below - lo);  // C − R_j
     if (j < loop.reuse && loop.top[j] >= top) {
@@ -84,33 +88,61 @@ void dp_detail::solve_layers(LayerLoop& loop, DpResult& out) {
     }
     loop.reuse = std::min(loop.reuse, j);
     double* next = loop.best + j * stride + below;
-    std::uint32_t* choice = loop.choice + j * stride + below;
     const std::size_t k_end = top - below;
-    // The final layer feeds the backtrack only at state C.
-    const std::size_t k_begin = j + 1 == p ? k_end : lo;
     // The base layer writes only states up to hi; the rest stay +inf.
-    if (j == 0) std::fill(next + k_begin, next + k_end + 1, kInf);
-    loop.cells += forward_layer(
-        loop.objective, loop.cost.row(loop.members ? loop.members[j] : j),
-        lo, hi_of(j), k_begin, k_end, /*prev_is_base=*/j == 0,
-        j == 0 ? nullptr : loop.best + (j - 1) * stride + below, next,
-        choice);
+    if (j == 0) std::fill(next + lo, next + k_end + 1, kInf);
+    loop.cells += forward_layer(loop.objective, row_of(j), lo, hi_of(j), lo,
+                                k_end, /*prev_is_base=*/j == 0,
+                                j == 0 ? nullptr
+                                       : loop.best + (j - 1) * stride + below,
+                                next);
     if (loop.top) loop.top[j] = top;
     ++loop.built;
     below += lo;
   }
 
-  const double value = loop.best[(p - 1) * stride + cap];
-  if (value == kInf) return;
+  // Layer j's minimum at absolute state k and its smallest argmin c,
+  // over the forward pass's candidate range [lo_j, min(hi_j, k − L_{j−1})]
+  // with the same IEEE operations: the value the forward pass computed
+  // there, and the c it took it from. `offset` is L_{j−1}. Layer 0 has
+  // the one candidate c = k.
+  auto argmin_at = [&](std::size_t j, std::size_t k, std::size_t offset) {
+    const double* row = row_of(j);
+    const std::size_t lo = lo_of(j), c_max = std::min(hi_of(j), k - offset);
+    if (j > 0)
+      return best_candidate(loop.objective, row, lo, c_max, k - offset,
+                            loop.best + (j - 1) * stride + offset);
+    if (k < lo || c_max < k) return Argmin{kInf, 0};
+    return Argmin{combine(loop.objective, 0.0, row[k]), k};
+  };
+
+  // The final layer is needed only at state C: one scan, counted as the
+  // forward cells it examines (a base layer has the one candidate c = C).
+  Argmin at = argmin_at(p - 1, cap, below);
+  if (p == 1) {
+    loop.cells += at.value != kInf;
+  } else {
+    const std::size_t lo = lo_of(p - 1);
+    const std::size_t c_max = std::min(hi_of(p - 1), cap - below);
+    if (c_max >= lo) loop.cells += c_max - lo + 1;
+  }
+  ++loop.built;
+  if (at.value == kInf) return;
   out.feasible = true;
-  out.objective_value = value;
+  out.objective_value = at.value;
   out.alloc.assign(p, 0);
+
+  // Backtrack: re-scan the one state each earlier layer is visited at,
+  // O(C) per layer.
   std::size_t k = cap;
-  for (std::size_t j = p; j-- > 0;) {
-    const std::size_t c = loop.choice[j * stride + k];
-    OCPS_CHECK(c <= k, "backtrack inconsistency");
-    out.alloc[j] = c;
-    k -= c;
+  for (std::size_t j = p - 1;; --j) {
+    out.alloc[j] = at.c;
+    k -= at.c;
+    if (j == 0) break;
+    below -= lo_of(j - 1);
+    at = argmin_at(j - 1, k, below);
+    OCPS_CHECK(at.value == loop.best[(j - 1) * stride + k],
+               "backtrack re-scan disagrees with stored layer " << j - 1);
   }
   OCPS_CHECK(k == 0, "allocation does not sum to capacity");
 }
@@ -143,10 +175,7 @@ void PrefixDpSolver::solve(const std::uint32_t* members, std::size_t count,
     layers_.resize(count);
     tops_.resize(count);
   }
-  if (best_.size() < count * stride) {
-    best_.resize(count * stride);
-    choice_.resize(count * stride);
-  }
+  if (best_.size() < count * stride) best_.resize(count * stride);
 
   // Longest cached prefix whose (member, lo) pairs match this group. Only
   // non-final layers (positions 0..count-2) are ever cached; solve_layers
@@ -167,7 +196,6 @@ void PrefixDpSolver::solve(const std::uint32_t* members, std::size_t count,
   loop.capacity = capacity_;
   loop.lo = lo;
   loop.best = best_.data();
-  loop.choice = choice_.data();
   loop.top = tops_.data();
   loop.reuse = reuse;
   dp_detail::solve_layers(loop, out);

@@ -6,12 +6,21 @@
 // given to positions 0..j) can lie on a complete allocation only if
 // L_j <= k <= C − R_j, and a candidate c for position j only if the
 // previous state k − c >= L_{j−1}. dp_detail::solve_layers computes
-// exactly those cells, by offsetting the kernel's prev/next/choice
-// pointers by L_{j−1}: every dropped cell has prev = +inf or a state that
-// cannot reach C, so the values and choices the backtrack reads are
-// bit-for-bit those of the full 0..C scan. Bounded solves cost O(P·S²)
-// for slack S = C − Σlo; unbounded ones keep O(P·C²). optimize_partition
-// calls it uncached; PrefixDpSolver adds prefix reuse on top.
+// exactly those cells, by offsetting the kernel's prev/next pointers by
+// L_{j−1}: every dropped cell has prev = +inf or a state that cannot
+// reach C, so the values the backtrack reads are bit-for-bit those of the
+// full 0..C scan. Bounded solves cost O(P·S²) for slack S = C − Σlo;
+// unbounded ones keep O(P·C²). optimize_partition calls it uncached;
+// PrefixDpSolver adds prefix reuse on top.
+//
+// Values only. A layer stores next[k] and no argmin. The backtrack walks
+// from state C of the last layer and, at each layer, re-scans the one
+// state it visits with dp_detail::best_candidate over the forward pass's
+// candidate range [lo_j, min(hi_j, k − L_{j−1})]. Same candidates, same
+// IEEE operations, same smallest-c tie-break: the c it finds is the one
+// the forward pass took its minimum from, for O(P·C) extra work per
+// solve. Each re-scanned minimum must equal the stored value
+// (OCPS_CHECK), so a stale cached layer fails loudly.
 //
 // Prefix reuse. The Table I sweep solves the same DP for every co-run
 // group drawn from one program table, and a layer depends only on the
@@ -19,8 +28,8 @@
 // layers. Enumerated in lexicographic order, the C(13,4) = 715
 // four-member groups of a 13-program table touch only 13 + 78 + 286 = 377
 // distinct non-final layers instead of 715 × 3 = 2,145. The last layer is
-// never cached: the backtrack reads just its capacity column, so only
-// that single state is computed (O(C) instead of O(C²/2)).
+// never cached or stored: the backtrack needs just its capacity state,
+// so only that state is scanned (O(C) instead of O(C²/2)).
 //
 // PrefixDpSolver keeps the layer stack from the previous solve and reuses
 // the longest prefix whose (member, lower-bound) pairs match and whose
@@ -63,9 +72,9 @@ struct LayerLoop {
   std::size_t capacity = 0;
   const std::size_t* lo = nullptr;  ///< per-position lower bounds; null: 0
   const std::size_t* hi = nullptr;  ///< per-position upper bounds; null: C
-  double* best = nullptr;           ///< count rows of capacity+1 values,
-  std::uint32_t* choice = nullptr;  ///< and of choices; row j = layer j
-  std::size_t* top = nullptr;       ///< per layer: highest state built
+  double* best = nullptr;      ///< count rows of capacity+1 values; row
+                               ///  j = layer j (the last row is unused)
+  std::size_t* top = nullptr;  ///< per layer: highest state built
   std::size_t reuse = 0;  ///< in: leading rows already holding this
                           ///  (row, lo) prefix; out: rows reused
   std::size_t built = 0;  ///< out: layers computed (0 = infeasible bounds)
@@ -75,10 +84,13 @@ struct LayerLoop {
 /// Runs the windowed DP over loop.count positions and backtracks into
 /// `out` (feasible == false when the bounds admit no allocation). Rows
 /// [0, loop.reuse) are kept while top[j] reaches this solve's C − R_j;
-/// the first one that does not, and every row after it, is rebuilt and
-/// its top recorded. Bounds with some lo_j > min(hi_j, C), or Σlo > C,
-/// exit in O(P) without touching the tables. Emits dp.solves, dp.cells,
-/// dp.kernel.* and dp.solve_ns once per call.
+/// the first one that does not, and every later non-final row, is
+/// rebuilt and its top recorded. The final layer is scanned at state C
+/// only, and the backtrack re-scans one state per earlier layer, checking
+/// each minimum against the stored row. Bounds with some
+/// lo_j > min(hi_j, C), or Σlo > C, exit in O(P) without touching the
+/// tables. Emits dp.solves, dp.cells, dp.kernel.* and dp.solve_ns once
+/// per call.
 void solve_layers(LayerLoop& loop, DpResult& out);
 
 }  // namespace dp_detail
@@ -135,8 +147,8 @@ class PrefixDpSolver {
 
  private:
   // One cached DP layer: the table row after including `member` with lower
-  // bound `lo` at this position. Its values and choices are row j of
-  // best_/choice_, and its top state is tops_[j].
+  // bound `lo` at this position. Its values are row j of best_, and its
+  // top state is tops_[j].
   struct Layer {
     std::uint32_t member = 0;
     std::size_t lo = 0;
@@ -152,7 +164,6 @@ class PrefixDpSolver {
   std::vector<Layer> layers_;
   std::vector<std::size_t> tops_;
   std::vector<double> best_;
-  std::vector<std::uint32_t> choice_;
   std::size_t valid_layers_ = 0;  ///< prefix of layers_ that is current
   Stats stats_;
 };

@@ -14,12 +14,28 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// The reference candidate scan for one state: ascending c, strict
+// less-than, so the first minimum (the smallest c) wins.
+template <DpObjective Obj>
+inline Argmin best_candidate_impl(const double* cost_row, std::size_t lo,
+                                  std::size_t c_max, std::size_t k,
+                                  const double* prev) {
+  Argmin best{kInf, 0};
+  const double* prev_at_k = prev + k;
+  for (std::size_t c = lo; c <= c_max; ++c) {
+    double prev_v = prev_at_k[-static_cast<std::ptrdiff_t>(c)];
+    if (prev_v == kInf) continue;
+    double val = combine(Obj, prev_v, cost_row[c]);
+    if (val < best.value) best = {val, c};
+  }
+  return best;
+}
+
 template <DpObjective Obj>
 std::uint64_t forward_layer_impl(const double* cost_row, std::size_t lo,
                                  std::size_t hi, std::size_t k_begin,
                                  std::size_t k_end, bool prev_is_base,
-                                 const double* prev, double* next,
-                                 std::uint32_t* choice) {
+                                 const double* prev, double* next) {
   std::uint64_t cells = 0;
   if (prev_is_base) {
     // Base layer: prev[j] is finite only at j = 0, so the only candidate
@@ -27,34 +43,15 @@ std::uint64_t forward_layer_impl(const double* cost_row, std::size_t lo,
     // combine with prev[0] = 0.0 is kept), O(C) instead of O(C²).
     for (std::size_t k = std::max(lo, k_begin); k <= k_end && k <= hi;
          ++k) {
-      next[k] = Obj == DpObjective::kSumCost ? 0.0 + cost_row[k]
-                                             : std::max(0.0, cost_row[k]);
-      choice[k] = static_cast<std::uint32_t>(k);
+      next[k] = combine(Obj, 0.0, cost_row[k]);
       ++cells;
     }
     return cells;
   }
   for (std::size_t k = k_begin; k <= k_end; ++k) {
     const std::size_t c_max = std::min(hi, k);
-    double best_val = kInf;
-    std::uint32_t best_c = 0;
-    if (c_max >= lo) {
-      cells += c_max - lo + 1;
-      const double* prev_at_k = prev + k;
-      for (std::size_t c = lo; c <= c_max; ++c) {
-        double prev_v = prev_at_k[-static_cast<std::ptrdiff_t>(c)];
-        if (prev_v == kInf) continue;
-        double val = Obj == DpObjective::kSumCost
-                         ? prev_v + cost_row[c]
-                         : std::max(prev_v, cost_row[c]);
-        if (val < best_val) {
-          best_val = val;
-          best_c = static_cast<std::uint32_t>(c);
-        }
-      }
-    }
-    next[k] = best_val;
-    choice[k] = best_c;
+    if (c_max >= lo) cells += c_max - lo + 1;
+    next[k] = best_candidate_impl<Obj>(cost_row, lo, c_max, k, prev).value;
   }
   return cells;
 }
@@ -125,15 +122,24 @@ std::uint64_t forward_layer_scalar(DpObjective objective,
                                    const double* cost_row, std::size_t lo,
                                    std::size_t hi, std::size_t k_begin,
                                    std::size_t k_end, bool prev_is_base,
-                                   const double* prev, double* next,
-                                   std::uint32_t* choice) {
+                                   const double* prev, double* next) {
   return objective == DpObjective::kSumCost
              ? forward_layer_impl<DpObjective::kSumCost>(
                    cost_row, lo, hi, k_begin, k_end, prev_is_base, prev,
-                   next, choice)
+                   next)
              : forward_layer_impl<DpObjective::kMaxCost>(
                    cost_row, lo, hi, k_begin, k_end, prev_is_base, prev,
-                   next, choice);
+                   next);
+}
+
+Argmin best_candidate_scalar(DpObjective objective, const double* cost_row,
+                             std::size_t lo, std::size_t c_max,
+                             std::size_t k, const double* prev) {
+  return objective == DpObjective::kSumCost
+             ? best_candidate_impl<DpObjective::kSumCost>(cost_row, lo,
+                                                          c_max, k, prev)
+             : best_candidate_impl<DpObjective::kMaxCost>(cost_row, lo,
+                                                          c_max, k, prev);
 }
 
 namespace {
@@ -153,14 +159,22 @@ std::uint64_t forward_layer(DpObjective objective, const double* cost_row,
                             std::size_t lo, std::size_t hi,
                             std::size_t k_begin, std::size_t k_end,
                             bool prev_is_base, const double* prev,
-                            double* next, std::uint32_t* choice) {
+                            double* next) {
   // The base layer is O(C) with no inner reduction — the scalar closed
   // form is the kernel, so both dispatch targets share it.
   if (prev_is_base || active_kernel() == KernelKind::kScalar)
     return forward_layer_scalar(objective, cost_row, lo, hi, k_begin,
-                                k_end, prev_is_base, prev, next, choice);
+                                k_end, prev_is_base, prev, next);
   return forward_layer_avx2(objective, cost_row, lo, hi, k_begin, k_end,
-                            prev_is_base, prev, next, choice);
+                            prev_is_base, prev, next);
+}
+
+Argmin best_candidate(DpObjective objective, const double* cost_row,
+                      std::size_t lo, std::size_t c_max, std::size_t k,
+                      const double* prev) {
+  if (active_kernel() == KernelKind::kScalar)
+    return best_candidate_scalar(objective, cost_row, lo, c_max, k, prev);
+  return best_candidate_avx2(objective, cost_row, lo, c_max, k, prev);
 }
 
 }  // namespace ocps::dp_detail

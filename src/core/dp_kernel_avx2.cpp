@@ -4,15 +4,19 @@
 // target AVX2 at all, it degrades to a scalar passthrough.
 //
 // Bit-for-bit contract with the scalar kernel (the pinned reference):
-// every DP state k examines the same candidates c in the same ascending
-// order, each candidate value is computed with the same IEEE operation
-// (one add for kSumCost; for kMaxCost, _mm256_max_pd(cost, prev) which
-// returns its second operand on ties exactly like std::max(prev, cost)),
-// and selection uses strict less-than, so the first minimum — the
-// smallest c — wins in both kernels. The only differences are memory
-// access shape (8 states per iteration, masked tail blocks) and where
-// the tie-break reduction happens (cross-lane at the end of a scan,
-// still resolving to the smallest c among equal minima).
+// every DP state k examines the same candidates c, each candidate value
+// is computed with the same IEEE operation (one add for kSumCost; for
+// kMaxCost, _mm256_max_pd(cost, prev) which returns its second operand
+// on ties exactly like std::max(prev, cost)), and the running minimum
+// keeps the earlier candidate on ties. The layer folds candidates in
+// ascending c with _mm256_min_pd(candidate, best), which returns `best`
+// unless candidate < best — the scalar strict-less update, so a live
+// minimum never changes sign or payload. A candidate fed by prev = +inf
+// is +inf and never replaces anything, which is the scalar skip.
+// best_candidate reduces across lanes to the smallest c among equal
+// minima, as the scalar first-minimum scan does. The only differences
+// are memory access shape (16 states per block, masked tail blocks) and
+// where the argmin reduction happens.
 #include "core/dp_kernel.hpp"
 
 #if defined(__AVX2__)
@@ -29,10 +33,14 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Maskload/maskstore masks for partial blocks: lane l of a block of n is
-// active iff l < n, which is table[8 - n + l] here.
-alignas(32) constexpr long long kLaneMask[16] = {
-    -1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0};
+// States per block of the general layer: four 4-wide accumulators.
+constexpr std::size_t kBlock = 16;
+
+// Maskload masks for partial blocks: lane l of a block of n is active
+// iff l < n, which is table[kBlock - n + l] here.
+alignas(32) constexpr long long kLaneMask[2 * kBlock] = {
+    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+    0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0};
 
 // Lane indices within a 4-wide vector, as int64 (lane 0 first).
 inline __m256i iota4(long long base) {
@@ -45,7 +53,7 @@ inline __m256d reverse4(__m256d v) {
 }
 
 template <DpObjective Obj>
-inline __m256d combine(__m256d prev, __m256d cost) {
+inline __m256d combine4(__m256d prev, __m256d cost) {
   // kSumCost: prev + cost, same add as the scalar kernel. kMaxCost:
   // max(cost, prev) returns prev on ties — the bit pattern std::max(prev,
   // cost) produces, including the (+0, -0) corner.
@@ -53,21 +61,14 @@ inline __m256d combine(__m256d prev, __m256d cost) {
                                       : _mm256_max_pd(cost, prev);
 }
 
-template <DpObjective Obj>
-inline double combine1(double prev, double cost) {
-  return Obj == DpObjective::kSumCost ? prev + cost
-                                      : std::max(prev, cost);
-}
-
 // min over c in [lo, c_max] of combine(prev[k - c], cost_row[c]) for one
-// state k, vectorized along c with reversed prev loads. Requires
-// lo <= c_max <= k. Writes next[k] / choice[k].
+// state k and its smallest argmin, vectorized along c with reversed prev
+// loads. Requires c_max <= k.
 template <DpObjective Obj>
-void single_state(const double* cost_row, std::size_t lo,
-                  std::size_t c_max, std::size_t k, const double* prev,
-                  double* next, std::uint32_t* choice) {
-  double best_val = kInf;
-  std::size_t best_c = 0;
+Argmin single_state(const double* cost_row, std::size_t lo,
+                    std::size_t c_max, std::size_t k, const double* prev) {
+  Argmin best{kInf, 0};
+  if (c_max < lo) return best;
   std::size_t c = lo;
   if (c_max - lo + 1 >= 8) {
     __m256d b0 = _mm256_set1_pd(kInf), b1 = b0;
@@ -79,8 +80,8 @@ void single_state(const double* cost_row, std::size_t lo,
       // the 4 doubles ending at k - c and reverse.
       const __m256d p0 = reverse4(_mm256_loadu_pd(prev + (k - c - 3)));
       const __m256d p1 = reverse4(_mm256_loadu_pd(prev + (k - c - 7)));
-      const __m256d v0 = combine<Obj>(p0, cost0);
-      const __m256d v1 = combine<Obj>(p1, cost1);
+      const __m256d v0 = combine4<Obj>(p0, cost0);
+      const __m256d v1 = combine4<Obj>(p1, cost1);
       const __m256d m0 = _mm256_cmp_pd(v0, b0, _CMP_LT_OQ);
       const __m256d m1 = _mm256_cmp_pd(v1, b1, _CMP_LT_OQ);
       b0 = _mm256_blendv_pd(b0, v0, m0);
@@ -92,9 +93,9 @@ void single_state(const double* cost_row, std::size_t lo,
                                _mm256_castpd_si256(m1));
     }
     // Cross-lane reduction: smallest value wins; equal values resolve to
-    // the smallest c, matching the scalar first-minimum scan. A lane
-    // still at +inf never had a live candidate and must not donate its
-    // c (scalar leaves choice at 0 in that case).
+    // the smallest c, whose own value is kept, matching the scalar
+    // first-minimum scan. A lane still at +inf never had a live
+    // candidate and must not donate its c (scalar leaves c at 0 then).
     alignas(32) double vb[8];
     alignas(32) long long vc[8];
     _mm256_store_pd(vb, b0);
@@ -103,12 +104,9 @@ void single_state(const double* cost_row, std::size_t lo,
     _mm256_store_si256(reinterpret_cast<__m256i*>(vc + 4), bc1);
     for (int l = 0; l < 8; ++l) {
       const std::size_t lane_c = static_cast<std::size_t>(vc[l]);
-      if (vb[l] < best_val) {
-        best_val = vb[l];
-        best_c = lane_c;
-      } else if (vb[l] == best_val && vb[l] != kInf && lane_c < best_c) {
-        best_c = lane_c;
-      }
+      if (vb[l] < best.value ||
+          (vb[l] == best.value && vb[l] != kInf && lane_c < best.c))
+        best = {vb[l], lane_c};
     }
   }
   // Tail candidates have larger c than every vector candidate, so the
@@ -116,14 +114,27 @@ void single_state(const double* cost_row, std::size_t lo,
   for (; c <= c_max; ++c) {
     const double prev_v = prev[k - c];
     if (prev_v == kInf) continue;
-    const double val = combine1<Obj>(prev_v, cost_row[c]);
-    if (val < best_val) {
-      best_val = val;
-      best_c = c;
-    }
+    const double val = combine(Obj, prev_v, cost_row[c]);
+    if (val < best.value) best = {val, c};
   }
-  next[k] = best_val;
-  choice[k] = static_cast<std::uint32_t>(best_c);
+  return best;
+}
+
+// Folds candidates [lo, c_end] into a block of 16 states starting at kb,
+// held in four accumulators. Load(p, i) reads the 4 doubles of vector i
+// at p + 4i (a plain or a masked load).
+template <DpObjective Obj, typename Load>
+inline void fold_block(const double* cost_row, std::size_t lo,
+                       std::size_t c_end, std::size_t kb,
+                       const double* prev, __m256d (&b)[4], Load load) {
+  for (std::size_t c = lo; c <= c_end; ++c) {
+    const __m256d cost = _mm256_broadcast_sd(cost_row + c);
+    const double* p = prev + (kb - c);
+    b[0] = _mm256_min_pd(combine4<Obj>(load(p, 0), cost), b[0]);
+    b[1] = _mm256_min_pd(combine4<Obj>(load(p, 1), cost), b[1]);
+    b[2] = _mm256_min_pd(combine4<Obj>(load(p, 2), cost), b[2]);
+    b[3] = _mm256_min_pd(combine4<Obj>(load(p, 3), cost), b[3]);
+  }
 }
 
 template <DpObjective Obj>
@@ -131,8 +142,7 @@ std::uint64_t forward_layer_avx2_impl(const double* cost_row,
                                       std::size_t lo, std::size_t hi,
                                       std::size_t k_begin,
                                       std::size_t k_end,
-                                      const double* prev, double* next,
-                                      std::uint32_t* choice) {
+                                      const double* prev, double* next) {
   // Cell accounting replicates the scalar kernel exactly.
   std::uint64_t cells = 0;
   for (std::size_t k = k_begin; k <= k_end; ++k) {
@@ -140,82 +150,42 @@ std::uint64_t forward_layer_avx2_impl(const double* cost_row,
     if (c_max >= lo) cells += c_max - lo + 1;
   }
 
-  if (k_begin == k_end) {
-    const std::size_t k = k_begin;
-    const std::size_t c_max = std::min(hi, k);
-    if (c_max >= lo) {
-      single_state<Obj>(cost_row, lo, c_max, k, prev, next, choice);
-    } else {
-      next[k] = kInf;
-      choice[k] = 0;
-    }
-    return cells;
-  }
-
-  // General layer: 8 states k..k+7 per block, vectorized along k. For
-  // c <= kb every lane has k >= c, so prev[k - c] is a plain ascending
-  // load; the up-to-7 candidates with c > kb (the ragged corner where
-  // only the higher lanes admit them) run scalar on the spilled lanes.
-  for (std::size_t kb = k_begin; kb <= k_end; kb += 8) {
-    const std::size_t n = std::min<std::size_t>(8, k_end - kb + 1);
-    __m256d b0 = _mm256_set1_pd(kInf), b1 = b0;
-    __m256i bc0 = _mm256_setzero_si256(), bc1 = bc0;
+  // 16 states kb..kb+15 per block, vectorized along k. For c <= kb every
+  // lane has k >= c, so prev[k - c] is a plain ascending load; the up-to-
+  // 15 candidates with c > kb (the ragged corner where only the higher
+  // lanes admit them) run scalar on the spilled lanes.
+  for (std::size_t kb = k_begin; kb <= k_end; kb += kBlock) {
+    const std::size_t n = std::min(kBlock, k_end - kb + 1);
+    __m256d b[4];
+    for (__m256d& v : b) v = _mm256_set1_pd(kInf);
     const std::size_t c_vec_end = std::min(hi, kb);  // inclusive
     if (lo <= c_vec_end) {
-      if (n == 8) {
-        for (std::size_t c = lo; c <= c_vec_end; ++c) {
-          const __m256d cost = _mm256_set1_pd(cost_row[c]);
-          const __m256d p0 = _mm256_loadu_pd(prev + (kb - c));
-          const __m256d p1 = _mm256_loadu_pd(prev + (kb - c) + 4);
-          const __m256d v0 = combine<Obj>(p0, cost);
-          const __m256d v1 = combine<Obj>(p1, cost);
-          const __m256d m0 = _mm256_cmp_pd(v0, b0, _CMP_LT_OQ);
-          const __m256d m1 = _mm256_cmp_pd(v1, b1, _CMP_LT_OQ);
-          b0 = _mm256_blendv_pd(b0, v0, m0);
-          b1 = _mm256_blendv_pd(b1, v1, m1);
-          const __m256i cv =
-              _mm256_set1_epi64x(static_cast<long long>(c));
-          bc0 = _mm256_blendv_epi8(bc0, cv, _mm256_castpd_si256(m0));
-          bc1 = _mm256_blendv_epi8(bc1, cv, _mm256_castpd_si256(m1));
-        }
+      if (n == kBlock) {
+        fold_block<Obj>(cost_row, lo, c_vec_end, kb, prev, b,
+                        [](const double* p, int i) {
+                          return _mm256_loadu_pd(p + 4 * i);
+                        });
       } else {
         // Masked tail block: lanes >= n would read prev beyond k_end;
         // maskload guarantees those lanes touch no memory, and their
         // (garbage-fed) results are never stored.
-        const __m256i mask0 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(kLaneMask + (8 - n)));
-        const __m256i mask1 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(kLaneMask + (8 - n) + 4));
-        for (std::size_t c = lo; c <= c_vec_end; ++c) {
-          const __m256d cost = _mm256_set1_pd(cost_row[c]);
-          const __m256d p0 =
-              _mm256_maskload_pd(prev + (kb - c), mask0);
-          const __m256d p1 =
-              _mm256_maskload_pd(prev + (kb - c) + 4, mask1);
-          const __m256d v0 = combine<Obj>(p0, cost);
-          const __m256d v1 = combine<Obj>(p1, cost);
-          const __m256d m0 = _mm256_cmp_pd(v0, b0, _CMP_LT_OQ);
-          const __m256d m1 = _mm256_cmp_pd(v1, b1, _CMP_LT_OQ);
-          b0 = _mm256_blendv_pd(b0, v0, m0);
-          b1 = _mm256_blendv_pd(b1, v1, m1);
-          const __m256i cv =
-              _mm256_set1_epi64x(static_cast<long long>(c));
-          bc0 = _mm256_blendv_epi8(bc0, cv, _mm256_castpd_si256(m0));
-          bc1 = _mm256_blendv_epi8(bc1, cv, _mm256_castpd_si256(m1));
-        }
+        __m256i mask[4];
+        for (int i = 0; i < 4; ++i)
+          mask[i] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+              kLaneMask + (kBlock - n) + 4 * i));
+        fold_block<Obj>(cost_row, lo, c_vec_end, kb, prev, b,
+                        [&mask](const double* p, int i) {
+                          return _mm256_maskload_pd(p + 4 * i, mask[i]);
+                        });
       }
     }
-    alignas(32) double bb[8];
-    alignas(32) long long bc[8];
-    _mm256_store_pd(bb, b0);
-    _mm256_store_pd(bb + 4, b1);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(bc), bc0);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(bc + 4), bc1);
+    alignas(32) double bb[kBlock];
+    for (int i = 0; i < 4; ++i) _mm256_store_pd(bb + 4 * i, b[i]);
 
     // Ragged corner: candidates with kb < c <= min(hi, kb + n - 1),
     // admitted only by lanes l >= c - kb (i.e. states k >= c). These
     // come after every vector candidate in c order, so the strict-less
-    // update keeps the smallest-c tie-break intact per lane.
+    // update keeps the first minimum per lane.
     const std::size_t rag_lo = std::max(lo, kb + 1);
     const std::size_t rag_hi = std::min(hi, kb + n - 1);
     for (std::size_t c = rag_lo; c <= rag_hi; ++c) {
@@ -223,18 +193,12 @@ std::uint64_t forward_layer_avx2_impl(const double* cost_row,
       for (std::size_t l = c - kb; l < n; ++l) {
         const double prev_v = prev[kb + l - c];
         if (prev_v == kInf) continue;
-        const double val = combine1<Obj>(prev_v, cost_c);
-        if (val < bb[l]) {
-          bb[l] = val;
-          bc[l] = static_cast<long long>(c);
-        }
+        const double val = combine(Obj, prev_v, cost_c);
+        if (val < bb[l]) bb[l] = val;
       }
     }
 
-    for (std::size_t l = 0; l < n; ++l) {
-      next[kb + l] = bb[l];
-      choice[kb + l] = static_cast<std::uint32_t>(bc[l]);
-    }
+    std::copy(bb, bb + n, next + kb);
   }
   return cells;
 }
@@ -245,19 +209,28 @@ std::uint64_t forward_layer_avx2(DpObjective objective,
                                  const double* cost_row, std::size_t lo,
                                  std::size_t hi, std::size_t k_begin,
                                  std::size_t k_end, bool prev_is_base,
-                                 const double* prev, double* next,
-                                 std::uint32_t* choice) {
+                                 const double* prev, double* next) {
   // The closed-form base layer is O(C) and shared with the scalar
   // kernel; dispatching it here keeps forward_layer_avx2 callable
   // directly by parity tests on any layer shape.
   if (prev_is_base)
     return forward_layer_scalar(objective, cost_row, lo, hi, k_begin,
-                                k_end, prev_is_base, prev, next, choice);
+                                k_end, prev_is_base, prev, next);
   return objective == DpObjective::kSumCost
              ? forward_layer_avx2_impl<DpObjective::kSumCost>(
-                   cost_row, lo, hi, k_begin, k_end, prev, next, choice)
+                   cost_row, lo, hi, k_begin, k_end, prev, next)
              : forward_layer_avx2_impl<DpObjective::kMaxCost>(
-                   cost_row, lo, hi, k_begin, k_end, prev, next, choice);
+                   cost_row, lo, hi, k_begin, k_end, prev, next);
+}
+
+Argmin best_candidate_avx2(DpObjective objective, const double* cost_row,
+                           std::size_t lo, std::size_t c_max,
+                           std::size_t k, const double* prev) {
+  return objective == DpObjective::kSumCost
+             ? single_state<DpObjective::kSumCost>(cost_row, lo, c_max, k,
+                                                   prev)
+             : single_state<DpObjective::kMaxCost>(cost_row, lo, c_max, k,
+                                                   prev);
 }
 
 }  // namespace ocps::dp_detail
@@ -268,16 +241,21 @@ namespace ocps::dp_detail {
 
 // Toolchain cannot emit AVX2 (non-x86 target or the -mavx2 probe
 // failed): the dispatcher never selects kAvx2 because
-// cpu_supports_avx2() is false there, but keep the symbol defined and
+// cpu_supports_avx2() is false there, but keep the symbols defined and
 // correct for direct callers.
 std::uint64_t forward_layer_avx2(DpObjective objective,
                                  const double* cost_row, std::size_t lo,
                                  std::size_t hi, std::size_t k_begin,
                                  std::size_t k_end, bool prev_is_base,
-                                 const double* prev, double* next,
-                                 std::uint32_t* choice) {
+                                 const double* prev, double* next) {
   return forward_layer_scalar(objective, cost_row, lo, hi, k_begin,
-                              k_end, prev_is_base, prev, next, choice);
+                              k_end, prev_is_base, prev, next);
+}
+
+Argmin best_candidate_avx2(DpObjective objective, const double* cost_row,
+                           std::size_t lo, std::size_t c_max,
+                           std::size_t k, const double* prev) {
+  return best_candidate_scalar(objective, cost_row, lo, c_max, k, prev);
 }
 
 }  // namespace ocps::dp_detail

@@ -46,7 +46,6 @@ void DpScratch::reserve(std::size_t programs, std::size_t capacity) {
   ++grow_events;
   OCPS_OBS_COUNT("dp.scratch_grow", 1);
   best.resize(cells);
-  choice.resize(cells);
 }
 
 DpResult optimize_partition(CostMatrixView cost, std::size_t capacity,
@@ -61,7 +60,6 @@ DpResult optimize_partition(CostMatrixView cost, std::size_t capacity,
   if (!options.min_alloc.empty()) loop.lo = options.min_alloc.data();
   if (!options.max_alloc.empty()) loop.hi = options.max_alloc.data();
   loop.best = scratch.best.data();
-  loop.choice = scratch.choice.data();
   DpResult result;
   dp_detail::solve_layers(loop, result);
   return result;

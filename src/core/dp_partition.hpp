@@ -3,9 +3,12 @@
 // Given per-program cost curves cost_i(c) over integer allocations
 // c = 0..C, find the allocation (c_1..c_P) with Σ c_i = C minimizing the
 // objective. Unlike STTW, no convexity is assumed: the DP examines the
-// entire solution space in O(P·C²) time and O(P·C) space. With lower
-// bounds it scans only each layer's feasible window (core/batch_engine.hpp),
-// so a bounded solve costs O(P·S²) for slack S = C − Σ min_alloc.
+// entire solution space in O(P·C²) time and O(P·C) space. The table holds
+// values only; the backtrack re-scans the one state it visits per layer
+// (O(P·C)) to recover the argmin each minimum came from
+// (core/batch_engine.hpp). With lower bounds it scans only each layer's
+// feasible window, so a bounded solve costs O(P·S²) for slack
+// S = C − Σ min_alloc.
 //
 // Two objectives are built in, both associative-monotone so the same table
 // recurrence applies:
@@ -49,14 +52,13 @@ struct DpResult {
   double objective_value = 0.0;
 };
 
-/// Reusable solver arena: the DP table buffers, grown on demand and never
+/// Reusable solver arena: the DP value table, grown on demand and never
 /// shrunk, so back-to-back solves of the same shape do zero heap
 /// allocation in the hot loop. grow_events counts reallocation episodes
 /// (mirrored in obs counter `dp.scratch_grow`): in a steady-state sweep
 /// it stops increasing after the first solve per thread.
 struct DpScratch {
-  std::vector<double> best;           ///< flat programs × (capacity+1)
-  std::vector<std::uint32_t> choice;  ///< same shape
+  std::vector<double> best;  ///< flat programs × (capacity+1) values
   std::uint64_t grow_events = 0;
 
   /// Ensures capacity for a (programs, capacity) solve.
@@ -93,9 +95,9 @@ DpResult optimize_partition_exhaustive(CostMatrixView cost,
 
 // The windowed layer loop shared by optimize_partition and the
 // prefix-memoized PrefixDpSolver is dp_detail::solve_layers
-// (core/batch_engine.hpp); its forward-layer kernel lives in
-// core/dp_kernel.hpp (included above), which dispatches between the
-// pinned scalar reference and the AVX2 kernel at runtime, and every
-// kernel produces bit-identical tables.
+// (core/batch_engine.hpp); its forward-layer kernel and the one-state
+// best_candidate scan live in core/dp_kernel.hpp (included above), which
+// dispatches between the pinned scalar reference and the AVX2 kernel at
+// runtime, and every kernel produces bit-identical values and argmins.
 
 }  // namespace ocps

@@ -24,6 +24,16 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   return splitmix64(state);
 }
 
+// Moves the first complete line of `buffer` (without its newline) into
+// `line`; false when no newline has arrived yet.
+bool pop_line(std::string& buffer, std::string& line) {
+  const std::size_t pos = buffer.find('\n');
+  if (pos == std::string::npos) return false;
+  line = buffer.substr(0, pos);
+  buffer.erase(0, pos + 1);
+  return true;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -148,17 +158,28 @@ Result<Response> Client::call(const std::string& request_line,
   // writes — all bounded by the call timeout.
   std::string line = request_line;
   line.push_back('\n');
-  if (!send_all(fd_, line.data(), line.size(), timeout))
+  std::string response;
+  if (!send_all(fd_, line.data(), line.size(), timeout)) {
+    // A peer that refuses the connection (the front end's in-band 503 at
+    // its connection cap) answers and closes without reading, so the
+    // send can fail with that answer already queued here. Take what has
+    // arrived, without waiting, before calling the connection lost.
+    char chunk[4096];
+    for (;;) {
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), MSG_DONTWAIT);
+      if (n > 0) {
+        buffer_.append(chunk, static_cast<std::size_t>(n));
+      } else if (n == 0 || errno != EINTR) {
+        break;
+      }
+    }
+    if (pop_line(buffer_, response)) return parse_response(response);
     return Err(ErrorCode::kIoError, "send(): connection lost or timed out");
+  }
 
   const auto deadline = Clock::now() + timeout;
   for (;;) {
-    std::size_t pos = buffer_.find('\n');
-    if (pos != std::string::npos) {
-      std::string response = buffer_.substr(0, pos);
-      buffer_.erase(0, pos + 1);
-      return parse_response(response);
-    }
+    if (pop_line(buffer_, response)) return parse_response(response);
     auto now = Clock::now();
     if (now >= deadline)
       return Err(ErrorCode::kIoError, "timed out waiting for response");

@@ -104,7 +104,9 @@ class Client {
   /// Sends one raw request line (no trailing newline) and blocks until
   /// one response line arrives or `timeout` passes (kIoError). The
   /// response is decoded but NOT interpreted: a shed/deadline/error
-  /// reply is an ok() Result whose Response has ok == false.
+  /// reply is an ok() Result whose Response has ok == false. When the
+  /// send fails, a complete line the peer sent before closing (such as
+  /// a connection-cap 503) is still returned; otherwise kIoError.
   Result<Response> call(const std::string& request_line,
                         std::chrono::milliseconds timeout =
                             std::chrono::milliseconds(30000));

@@ -160,6 +160,50 @@ TEST(BatchSweep, FullSweepBitForBitIdenticalAcrossKernels) {
   }
 }
 
+// FNV-1a 64 over the bytes of every allocation chosen by the four
+// DP-driven methods (Equal baseline, Natural baseline, Optimal, STTW),
+// group by group in sweep order.
+std::uint64_t allocation_hash(const std::vector<GroupEvaluation>& sweep) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const GroupEvaluation& g : sweep) {
+    for (Method m : {Method::kEqualBaseline, Method::kNaturalBaseline,
+                     Method::kOptimal, Method::kSttw}) {
+      for (double units : g.of(m).alloc) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &units, sizeof bits);
+        for (int b = 0; b < 8; ++b) {
+          h ^= (bits >> (8 * b)) & 0xFF;
+          h *= 1099511628211ULL;
+        }
+      }
+    }
+  }
+  return h;
+}
+
+TEST(BatchSweep, AllocationsMatchRecordedHash) {
+  // MethodSumsMatchRecordedBits cannot see a tie-break that swaps two
+  // allocations of equal cost. This pins the allocations themselves over
+  // the same C = 64 suite, under each kernel forced in-process, to a hash
+  // recorded when every layer still stored its argmin table.
+  constexpr std::uint64_t kWant = 0xb191f6f4442e0843ULL;
+  const std::size_t capacity = 64;
+  auto models = make_suite(capacity);
+  auto groups = all_subsets(16, 4);
+  SweepOptions opt;
+  opt.capacity = capacity;
+  for (dp_detail::KernelKind kind :
+       {dp_detail::KernelKind::kScalar, dp_detail::KernelKind::kAvx2}) {
+    dp_detail::set_kernel_for_testing(kind);
+    auto sweep = sweep_groups(models, groups, opt);
+    EXPECT_EQ(sweep.size(), 1820u);
+    EXPECT_EQ(allocation_hash(sweep), kWant)
+        << dp_detail::kernel_name(kind) << ": 0x" << std::hex
+        << allocation_hash(sweep);
+  }
+  dp_detail::reset_kernel_for_testing();
+}
+
 TEST(BatchSweep, PrefixSolverSharesLayersAcrossLexOrderedGroups) {
   const std::size_t capacity = 32;
   auto models = make_suite(capacity);

@@ -3,12 +3,15 @@
 // PrefixDpSolver.
 //
 // The contract under test is strict: the AVX2 kernel must be bit-for-bit
-// identical to the pinned scalar reference — values, choice backtracks,
-// AND the cell count — for every layer shape the solvers can produce
-// (capacity 0, all-infinite prev columns, non-zero lower bounds, hi
-// below capacity, every masked tail width 1..7, and the single-state
-// final-layer form). Comparisons are memcmp, not ==, so a -0.0/0.0 or
-// NaN divergence cannot hide.
+// identical to the pinned scalar reference — layer values AND the cell
+// count — for every layer shape the solvers can produce (capacity 0,
+// all-infinite prev columns, non-zero lower bounds, hi below capacity,
+// every masked tail width 1..15 of the 16-state block, and the single
+// final-layer state). At every state of every layer, best_candidate's
+// (value, c) must also agree across the kernels, and its value must be
+// the layer's next[k]: that is the argmin the backtrack re-derives in
+// place of a stored choice table. Comparisons are memcmp, not ==, so a
+// -0.0/0.0 or NaN divergence cannot hide.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -24,6 +27,7 @@
 namespace ocps {
 namespace {
 
+using dp_detail::Argmin;
 using dp_detail::KernelKind;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -37,12 +41,11 @@ struct KernelGuard {
   ~KernelGuard() { dp_detail::reset_kernel_for_testing(); }
 };
 
-// One forward-layer invocation's full output, with sentinel-filled
-// next/choice so "left untouched outside [k_begin, k_end]" is checked
-// bitwise too.
+// One forward-layer invocation's full output, with a sentinel-filled
+// next so "left untouched outside [k_begin, k_end]" is checked bitwise
+// too.
 struct LayerRun {
   std::vector<double> next;
-  std::vector<std::uint32_t> choice;
   std::uint64_t cells = 0;
 };
 
@@ -52,28 +55,36 @@ LayerRun run_layer(bool avx2, DpObjective objective,
                    bool prev_is_base, const std::vector<double>& prev) {
   LayerRun out;
   out.next.assign(cost_row.size(), -12345.5);
-  out.choice.assign(cost_row.size(), 0xDEADBEEFu);
   const double* prev_ptr = prev_is_base ? nullptr : prev.data();
   out.cells = (avx2 ? dp_detail::forward_layer_avx2
                     : dp_detail::forward_layer_scalar)(
       objective, cost_row.data(), lo, hi, k_begin, k_end, prev_is_base,
-      prev_ptr, out.next.data(), out.choice.data());
+      prev_ptr, out.next.data());
   return out;
 }
 
-void expect_layers_identical(const LayerRun& s, const LayerRun& a,
-                             const char* what) {
-  ASSERT_EQ(s.next.size(), a.next.size());
-  EXPECT_EQ(s.cells, a.cells) << what << ": cell counts differ";
-  EXPECT_EQ(0, std::memcmp(s.next.data(), a.next.data(),
-                           s.next.size() * sizeof(double)))
-      << what << ": next values differ";
-  EXPECT_EQ(0, std::memcmp(s.choice.data(), a.choice.data(),
-                           s.choice.size() * sizeof(std::uint32_t)))
-      << what << ": choice backtracks differ";
+// best_candidate at state k of a layer with bounds [lo, hi], on one
+// kernel. A base layer is scanned over its explicit prev: 0 at state 0,
+// +inf elsewhere.
+Argmin argmin_at(bool avx2, DpObjective objective,
+                 const std::vector<double>& cost_row, std::size_t lo,
+                 std::size_t hi, std::size_t k, bool prev_is_base,
+                 const std::vector<double>& prev) {
+  std::vector<double> base;
+  if (prev_is_base) {
+    base.assign(cost_row.size(), kInf);
+    base[0] = 0.0;
+  }
+  return (avx2 ? dp_detail::best_candidate_avx2
+               : dp_detail::best_candidate_scalar)(
+      objective, cost_row.data(), lo, std::min(hi, k), k,
+      prev_is_base ? base.data() : prev.data());
 }
 
-// Runs one layer under both kernels and requires bitwise identity.
+// Runs one layer under both kernels and requires bitwise identity of the
+// values and cell counts; then, at every state in [k_begin, k_end],
+// requires both kernels' best_candidate to agree and to reproduce the
+// layer's value.
 void check_parity(DpObjective objective, const std::vector<double>& cost_row,
                   std::size_t lo, std::size_t hi, std::size_t k_begin,
                   std::size_t k_end, bool prev_is_base,
@@ -82,7 +93,25 @@ void check_parity(DpObjective objective, const std::vector<double>& cost_row,
                          prev_is_base, prev);
   LayerRun a = run_layer(true, objective, cost_row, lo, hi, k_begin, k_end,
                          prev_is_base, prev);
-  expect_layers_identical(s, a, what);
+  ASSERT_EQ(s.next.size(), a.next.size());
+  EXPECT_EQ(s.cells, a.cells) << what << ": cell counts differ";
+  EXPECT_EQ(0, std::memcmp(s.next.data(), a.next.data(),
+                           s.next.size() * sizeof(double)))
+      << what << ": next values differ";
+  for (std::size_t k = k_begin; k <= k_end; ++k) {
+    const Argmin bs = argmin_at(false, objective, cost_row, lo, hi, k,
+                                prev_is_base, prev);
+    const Argmin ba = argmin_at(true, objective, cost_row, lo, hi, k,
+                                prev_is_base, prev);
+    EXPECT_TRUE(same_bits(bs.value, ba.value))
+        << what << ": best_candidate values differ at k=" << k;
+    EXPECT_EQ(bs.c, ba.c) << what << ": argmins differ at k=" << k;
+    // The closed-form base layer writes only states in [lo, hi]; the
+    // solver pre-fills the rest with +inf.
+    const bool written = !prev_is_base || (lo <= k && k <= hi);
+    EXPECT_TRUE(same_bits(bs.value, written ? s.next[k] : kInf))
+        << what << ": best_candidate is not the layer value at k=" << k;
+  }
 }
 
 std::vector<double> random_row(std::mt19937& rng, std::size_t n,
@@ -141,8 +170,10 @@ TEST(DpKernelParity, CapacityZeroSingleState) {
     double want = obj == DpObjective::kSumCost ? 1.5 + 3.25
                                                : std::max(1.5, 3.25);
     EXPECT_TRUE(same_bits(r.next[0], want));
-    EXPECT_EQ(r.choice[0], 0u);
     EXPECT_EQ(r.cells, 1u);
+    const Argmin b = argmin_at(true, obj, cost_row, 0, 0, 0, false, prev);
+    EXPECT_TRUE(same_bits(b.value, want));
+    EXPECT_EQ(b.c, 0u);
   }
 }
 
@@ -166,12 +197,13 @@ TEST(DpKernelParity, AllInfinitePrevLeavesStatesInfeasible) {
     std::vector<double> prev(40, kInf);
     check_parity(obj, cost_row, 0, 39, 0, 39, false, prev, "all-inf prev");
 
-    // Semantics: no live candidate anywhere — every state stays +inf
-    // with choice pinned to 0, exactly like the scalar reference.
+    // Semantics: no live candidate anywhere — every state stays +inf,
+    // and best_candidate pins c to 0, exactly like the scalar reference.
     LayerRun r = run_layer(true, obj, cost_row, 0, 39, 0, 39, false, prev);
     for (std::size_t k = 0; k <= 39; ++k) {
       EXPECT_TRUE(same_bits(r.next[k], kInf)) << "k=" << k;
-      EXPECT_EQ(r.choice[k], 0u) << "k=" << k;
+      EXPECT_EQ(argmin_at(true, obj, cost_row, 0, 39, k, false, prev).c, 0u)
+          << "k=" << k;
     }
   }
 }
@@ -201,26 +233,27 @@ TEST(DpKernelParity, HiBelowCapacityCapsChoices) {
     for (std::size_t hi : {0u, 1u, 7u, 8u, 9u, 31u}) {
       check_parity(obj, cost_row, 0, hi, 0, 59, false, prev,
                    "hi below capacity");
-      LayerRun r =
-          run_layer(true, obj, cost_row, 0, hi, 0, 59, false, prev);
-      for (std::size_t k = 0; k <= 59; ++k)
-        EXPECT_LE(r.choice[k], hi) << "hi=" << hi << " k=" << k;
+      for (bool avx2 : {false, true})
+        for (std::size_t k = 0; k <= 59; ++k)
+          EXPECT_LE(argmin_at(avx2, obj, cost_row, 0, hi, k, false, prev).c,
+                    hi)
+              << "hi=" << hi << " k=" << k;
     }
   }
 }
 
 TEST(DpKernelParity, EveryMaskedTailWidth) {
-  // k-ranges of width 1..7 (pure tail block), 8 (one full block), and
-  // 9..15 (full block + tail) — every mask the AVX2 kernel can load.
+  // k-ranges of width 1..15 (pure tail block), 16 (one full block),
+  // 17..31 (full block + tail) and 32..33 — every mask the AVX2 kernel's
+  // 16-state block can load.
   std::mt19937 rng(19);
   for (DpObjective obj : {DpObjective::kSumCost, DpObjective::kMaxCost}) {
-    std::vector<double> cost_row = random_row(rng, 64);
-    std::vector<double> prev = random_row(rng, 64, 0.1);
-    for (std::size_t width = 1; width <= 15; ++width) {
+    std::vector<double> cost_row = random_row(rng, 96);
+    std::vector<double> prev = random_row(rng, 96, 0.1);
+    for (std::size_t width = 1; width <= 33; ++width) {
       for (std::size_t k_begin : {0u, 5u, 40u}) {
         std::size_t k_end = k_begin + width - 1;
-        if (k_end > 63) continue;
-        check_parity(obj, cost_row, 0, 63, k_begin, k_end, false, prev,
+        check_parity(obj, cost_row, 0, 95, k_begin, k_end, false, prev,
                      "masked tail width");
       }
     }
@@ -228,9 +261,10 @@ TEST(DpKernelParity, EveryMaskedTailWidth) {
 }
 
 TEST(DpKernelParity, SingleStateFinalLayerForm) {
-  // The final layer of every PrefixDpSolver solve: k_begin == k_end ==
-  // capacity. The AVX2 kernel vectorizes over c here with reversed
+  // The final layer of every solve: only state C, which the solver scans
+  // with best_candidate. The AVX2 form vectorizes over c with reversed
   // loads; the cross-lane reduction must keep the smallest-c tie-break.
+  // A one-state forward layer (a width-1 tail block) must agree too.
   std::mt19937 rng(23);
   for (DpObjective obj : {DpObjective::kSumCost, DpObjective::kMaxCost}) {
     for (std::size_t cap : {1u, 2u, 7u, 8u, 9u, 16u, 33u, 57u}) {
@@ -252,8 +286,31 @@ TEST(DpKernelParity, TieBreaksTowardSmallestChoice) {
     std::vector<double> cost_row(32, 2.0);
     std::vector<double> prev(32, 1.0);
     check_parity(obj, cost_row, 0, 31, 0, 31, false, prev, "all ties");
-    LayerRun r = run_layer(true, obj, cost_row, 3, 31, 0, 31, false, prev);
-    for (std::size_t k = 3; k <= 31; ++k) EXPECT_EQ(r.choice[k], 3u);
+    check_parity(obj, cost_row, 3, 31, 0, 31, false, prev, "ties, lo 3");
+    for (bool avx2 : {false, true})
+      for (std::size_t k = 3; k <= 31; ++k)
+        EXPECT_EQ(argmin_at(avx2, obj, cost_row, 3, 31, k, false, prev).c,
+                  3u)
+            << "k=" << k;
+  }
+}
+
+TEST(DpKernelParity, TieBetweenSignedZerosKeepsTheFirstCandidatesBits) {
+  // -0.0 == +0.0, so a tie between them goes to the smaller c, and the
+  // minimum's bits must be that candidate's. With cost -1 everywhere the
+  // min-max candidate is prev[k - c]: at k = 20, c = 1 reads -0.0 and
+  // c = 8 reads +0.0, which the AVX2 scan holds in different lanes.
+  std::vector<double> cost_row(21, -1.0);
+  std::vector<double> prev(21, 1.0);
+  prev[19] = -0.0;
+  prev[12] = 0.0;
+  check_parity(DpObjective::kMaxCost, cost_row, 0, 20, 0, 20, false, prev,
+               "signed-zero tie");
+  for (bool avx2 : {false, true}) {
+    const Argmin b = argmin_at(avx2, DpObjective::kMaxCost, cost_row, 0, 20,
+                               20, false, prev);
+    EXPECT_TRUE(same_bits(b.value, -0.0)) << (avx2 ? "avx2" : "scalar");
+    EXPECT_EQ(b.c, 1u) << (avx2 ? "avx2" : "scalar");
   }
 }
 
@@ -429,6 +486,21 @@ TEST_F(IncrementalResolveTest, EveryChangePositionMatchesColdSolve) {
     solver.solve(members_.data(), kPrograms, nullptr, result);
     expect_same_result(result, cold_solve());
   }
+}
+
+TEST_F(IncrementalResolveTest, StaleCachedLayerFailsTheBacktrackCheck) {
+  // A row changed in place without resolve_incremental leaves cached
+  // layers built from the old row. The backtrack re-scans each layer
+  // with the row it reads now, so its minimum cannot match the stored
+  // one: the solve must throw, not return an allocation of a table that
+  // no longer exists.
+  PrefixDpSolver solver;
+  solver.configure(costs_.view(), kCapacity, DpObjective::kSumCost);
+  DpResult result;
+  solver.solve(members_.data(), kPrograms, nullptr, result);
+  for (std::size_t c = 0; c <= kCapacity; ++c) costs_.row(1)[c] += 1.0;
+  EXPECT_THROW(solver.solve(members_.data(), kPrograms, nullptr, result),
+               CheckError);
 }
 
 TEST_F(IncrementalResolveTest, RejectsShapeChangeAndNonFiniteRows) {

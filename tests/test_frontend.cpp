@@ -1,8 +1,10 @@
 // The shared socket front end (serve/frontend.hpp), driven through both
 // of its owners: a Server, and a Router in front of one Server. Each
-// case runs once per owner over a real Unix socket and checks what the
-// front end alone decides: the connection cap, framing faults (a stalled
-// half line, an oversized line) and the reaping of reader threads.
+// case runs once per owner over a real Unix socket (the cap case over TCP
+// as well) and checks what the front end alone decides: the connection
+// cap, framing faults (a stalled half line, an oversized line) and the
+// reaping of reader threads. One plain case checks that serve::Client
+// reads a refusal that arrives before its own send fails.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -16,6 +18,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -147,8 +150,6 @@ class FrontendTest : public ::testing::TestWithParam<Owner> {
 };
 
 TEST_P(FrontendTest, ConnectionOverTheCapGets503WhileAdmittedOneWorks) {
-  // Over TCP: a refused Unix-socket client whose request is still unsent
-  // when the front end closes gets EPIPE on send, before it reads the 503.
   ASSERT_NO_FATAL_FAILURE(start(/*max_connections=*/1));
   Result<Client> admitted = Client::connect(tcp_);
   ASSERT_TRUE(admitted.ok());
@@ -156,12 +157,17 @@ TEST_P(FrontendTest, ConnectionOverTheCapGets503WhileAdmittedOneWorks) {
   // second one arrives (admission is asynchronous).
   ASSERT_TRUE(admitted.value().call(kPartition).ok());
 
-  Result<Client> extra = Client::connect(tcp_);
-  ASSERT_TRUE(extra.ok());  // connect succeeds; the refusal is in-band
-  Result<Response> refused = extra.value().call(kPartition);
-  ASSERT_TRUE(refused.ok()) << refused.error().message;
-  EXPECT_FALSE(refused.value().ok);
-  EXPECT_EQ(refused.value().code, kCodeShuttingDown);
+  for (const std::string& endpoint : {tcp_, path_}) {
+    Result<Client> extra = Client::connect(endpoint);
+    ASSERT_TRUE(extra.ok()) << endpoint;  // the refusal is in-band
+    // Let the front end refuse and close first. Over a Unix socket the
+    // request then fails to send (EPIPE) with the 503 already queued.
+    std::this_thread::sleep_for(milliseconds(50));
+    Result<Response> refused = extra.value().call(kPartition);
+    ASSERT_TRUE(refused.ok()) << endpoint << ": " << refused.error().message;
+    EXPECT_FALSE(refused.value().ok) << endpoint;
+    EXPECT_EQ(refused.value().code, kCodeShuttingDown) << endpoint;
+  }
 
   Result<Response> still = admitted.value().call(kPartition);
   ASSERT_TRUE(still.ok()) << still.error().message;
@@ -210,6 +216,38 @@ TEST_P(FrontendTest, ReadersOfClosedConnectionsAreReaped) {
   const std::size_t before = maps_lines();
   for (int i = 0; i < 300; ++i) ASSERT_NO_FATAL_FAILURE(one_shot());
   EXPECT_LT(maps_lines(), before + 50);
+}
+
+TEST(ClientTest, CallReturnsTheLineQueuedBeforeItsSendFails) {
+  // A peer that answers one line and closes before the client sends: the
+  // send fails with EPIPE, and the answer waiting in the receive queue is
+  // what call() returns.
+  const std::string path = unique_socket_path("peer");
+  int listener = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  Result<Client> client = Client::connect(path);
+  ASSERT_TRUE(client.ok()) << client.error().message;
+  const int peer = ::accept(listener, nullptr, nullptr);
+  ::close(listener);
+  ::unlink(path.c_str());
+  ASSERT_GE(peer, 0);
+  const std::string refusal =
+      R"j({"id":0,"ok":false,"code":503,"error":"over the cap (1)"})j";
+  ASSERT_TRUE(send_bytes(peer, refusal + "\n"));
+  ::close(peer);
+
+  Result<Response> r = client.value().call(kPartition);
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  EXPECT_FALSE(r.value().ok);
+  EXPECT_EQ(r.value().code, kCodeShuttingDown);
+  EXPECT_EQ(r.value().error, "over the cap (1)");
 }
 
 INSTANTIATE_TEST_SUITE_P(Owners, FrontendTest,

@@ -888,7 +888,23 @@ TEST_F(RouterTest, RouterStampsTraceContextOnForwards) {
   ASSERT_TRUE(client.value().call(partition_line(2)).ok());
   Result<Client> direct = Client::connect(fleet.configs[0].socket_path);
   ASSERT_TRUE(direct.ok());
+  // The backend records a slowlog row only after writing the answer, so
+  // read the slowlog until request 2's row shows, for at most 5 s.
+  auto has_row_2 = [](const Response& r) {
+    const json::Value* rows = r.body.find("slowlog");
+    if (rows == nullptr) return false;
+    for (const json::Value& row : rows->as_array())
+      if (row.get_number("id", 0.0) == 2.0) return true;
+    return false;
+  };
   Result<Response> slow = direct.value().call(R"({"id":3,"op":"slowlog"})");
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (slow.ok() && slow.value().ok && !has_row_2(slow.value()) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(milliseconds(1));
+    slow = direct.value().call(R"({"id":3,"op":"slowlog"})");
+  }
   ASSERT_TRUE(slow.ok());
   ASSERT_TRUE(slow.value().ok);
   const json::Value* rows = slow.value().body.find("slowlog");

@@ -879,6 +879,16 @@ TEST_F(ServeTest, HttpEndpointServesPrometheus) {
   // Compiled out, the listener still binds and answers an explicit 501.
   EXPECT_NE(resp.find("501 Not Implemented"), std::string::npos) << resp;
 #else
+  // serve.request_latency sees the answer only after it is written (see
+  // poll_until), so scrape until its first bucket shows, for at most 5 s.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (resp.find("serve_request_latency_bucket{le=\"") ==
+             std::string::npos &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    resp = http_get(port, "/metrics");
+  }
   EXPECT_NE(resp.find("HTTP/1.1 200 OK"), std::string::npos) << resp;
   EXPECT_NE(resp.find("text/plain; version=0.0.4"), std::string::npos);
   EXPECT_NE(resp.find("# TYPE serve_requests counter"), std::string::npos);

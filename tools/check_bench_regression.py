@@ -25,12 +25,12 @@ Absolute times move with the runner's CPU, so the gate also checks three
 machine-independent anchors measured within the same run:
 
 * the *ratio* of the batched sweep to the per-group sweep (the committed
-  baseline has batched ≈ 2× faster),
+  baseline has batched ≈ 1.6× faster),
 * the *ratio* of the AVX2 forward-layer kernel to the scalar reference
-  (baseline ≈ 3.4× faster), and
+  (baseline ≈ 12× faster: values-only layers in 16-state blocks), and
 * the *ratio* of a baseline-bounded solve (lower bounds summing to 0.92·C)
   to an unbounded one of the same size: the DP scans only the feasible
-  window of each layer, so the bounded solve is ≈ 65× faster; dropping
+  window of each layer, so the bounded solve is ≈ 23× faster; dropping
   the window puts the ratio near 1.
 
 If a measured ratio loses more than ``--threshold`` of the committed
