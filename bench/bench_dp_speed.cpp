@@ -1,10 +1,10 @@
 // §VII-A cost-of-analysis microbenchmarks: the DP optimizer's O(P·C²)
 // scaling (O(P·S²) for slack S = C − Σlo under lower bounds) and the
 // per-group optimization cost (the paper reports ~0.14 s per group for
-// DP including IO, ~0.11 s for STTW on a 1.7 GHz i5), plus
-// the end-to-end C(16,4) sweep comparing the batched engine (persistent
-// pool + prefix-shared DP) against per-group evaluation. Measured numbers
-// are recorded in BENCH_dp_speed.json and docs/performance.md.
+// DP including IO, ~0.11 s for STTW on a 1.7 GHz i5), plus the
+// end-to-end C(16,4) six-method sweep, whose groups share DP layers along
+// common member prefixes. Measured numbers are recorded in
+// BENCH_dp_speed.json and docs/performance.md.
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
@@ -222,43 +222,23 @@ std::vector<ProgramModel> make_sweep_suite(std::size_t capacity) {
   return models;
 }
 
-// End-to-end sweep through the batched engine: persistent pool across
-// groups, prefix-shared DP layers within each thread.
+// End-to-end sweep, prefix-shared DP layers across groups. One thread,
+// whatever the runner's core count, like the one-core record in
+// BENCH_dp_speed.json: losing the layer sharing then shows as a larger
+// ratio to BM_DpPartition/4/1024, which tools/check_bench_regression.py
+// gates.
 void BM_GroupSweepBatched(benchmark::State& state) {
   const std::size_t capacity = static_cast<std::size_t>(state.range(0));
   auto models = make_sweep_suite(capacity);
   auto groups = all_subsets(16, 4);
   SweepOptions opt;
   opt.capacity = capacity;
+  opt.threads = 1;
   double check = 0.0;
   for (auto _ : state) {
     auto sweep = sweep_groups(models, groups, opt);
     check = 0.0;
     for (const auto& g : sweep) check += g.of(Method::kOptimal).group_mr;
-    benchmark::DoNotOptimize(check);
-  }
-  state.counters["groups"] = static_cast<double>(groups.size());
-  state.counters["checksum"] = check;
-}
-
-// The pre-batching evaluation strategy: every group solved independently
-// (no layer sharing, no persistent per-thread state). This is the
-// baseline the ≥3× speedup in BENCH_dp_speed.json is measured against.
-void BM_GroupSweepPerGroup(benchmark::State& state) {
-  const std::size_t capacity = static_cast<std::size_t>(state.range(0));
-  auto models = make_sweep_suite(capacity);
-  auto groups = all_subsets(16, 4);
-  SweepOptions opt;
-  opt.capacity = capacity;
-  CostMatrix unit_costs = precompute_unit_cost_matrix(models, capacity);
-  double check = 0.0;
-  for (auto _ : state) {
-    check = 0.0;
-    for (const auto& members : groups) {
-      GroupEvaluation g =
-          evaluate_group(models, unit_costs.view(), members, opt);
-      check += g.of(Method::kOptimal).group_mr;
-    }
     benchmark::DoNotOptimize(check);
   }
   state.counters["groups"] = static_cast<double>(groups.size());
@@ -293,10 +273,6 @@ BENCHMARK(BM_IncrementalResolve)
 BENCHMARK(BM_IncrementalResolveFullRebuild)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GroupSweepBatched)
-    ->Arg(256)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK(BM_GroupSweepPerGroup)
     ->Arg(256)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);

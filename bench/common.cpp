@@ -1,11 +1,9 @@
 #include "common.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "combinatorics/enumerate.hpp"
 #include "util/check.hpp"
@@ -67,80 +65,10 @@ struct SnapshotAtExit {
 
 }  // namespace
 
-namespace {
-
-std::string cache_dir() {
-  return env_string("OCPS_SUITE_CACHE", "./ocps_cache");
-}
-
-constexpr std::uint64_t kSweepMagic = 0x4f435053'53575031ULL;  // "OCPSSWP1"
-
-void write_u64(std::ofstream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-std::uint64_t read_u64(std::ifstream& is) {
-  std::uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  OCPS_CHECK(is.good(), "truncated sweep cache");
-  return v;
-}
-void write_doubles(std::ofstream& os, const std::vector<double>& v) {
-  write_u64(os, v.size());
-  os.write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(v.size() * sizeof(double)));
-}
-std::vector<double> read_doubles(std::ifstream& is) {
-  std::vector<double> v(read_u64(is));
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(v.size() * sizeof(double)));
-  OCPS_CHECK(is.good(), "truncated sweep cache");
-  return v;
-}
-
-}  // namespace
-
 Suite load_suite() {
   SuiteOptions options = suite_options_from_env();
-  if (options.cache_dir.empty()) options.cache_dir = cache_dir();
+  if (options.cache_dir.empty()) options.cache_dir = "./ocps_cache";
   return build_spec2006_suite(options);
-}
-
-void save_sweep(const std::vector<GroupEvaluation>& sweep,
-                const std::string& path) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  OCPS_CHECK(os.good(), "cannot write sweep cache " << path);
-  write_u64(os, kSweepMagic);
-  write_u64(os, sweep.size());
-  for (const auto& g : sweep) {
-    write_u64(os, g.members.size());
-    for (auto m : g.members) write_u64(os, m);
-    for (const auto& method : g.methods) {
-      write_doubles(os, method.alloc);
-      write_doubles(os, method.per_program_mr);
-      os.write(reinterpret_cast<const char*>(&method.group_mr),
-               sizeof(double));
-    }
-  }
-  OCPS_CHECK(os.good(), "sweep cache write failed");
-}
-
-std::vector<GroupEvaluation> load_sweep(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  OCPS_CHECK(is.good(), "cannot read sweep cache " << path);
-  OCPS_CHECK(read_u64(is) == kSweepMagic, "bad sweep cache magic");
-  std::vector<GroupEvaluation> sweep(read_u64(is));
-  for (auto& g : sweep) {
-    g.members.resize(read_u64(is));
-    for (auto& m : g.members)
-      m = static_cast<std::uint32_t>(read_u64(is));
-    for (auto& method : g.methods) {
-      method.alloc = read_doubles(is);
-      method.per_program_mr = read_doubles(is);
-      is.read(reinterpret_cast<char*>(&method.group_mr), sizeof(double));
-      OCPS_CHECK(is.good(), "truncated sweep cache");
-    }
-  }
-  return sweep;
 }
 
 Evaluation load_evaluation() {
@@ -156,18 +84,6 @@ Evaluation load_evaluation() {
     groups.resize(static_cast<std::size_t>(limit));
   eval.groups = groups;
 
-  std::ostringstream name;
-  name << cache_dir() << "/sweep_C" << eval.capacity << "_n"
-       << eval.suite.options.trace_length << "_g" << groups.size() << ".bin";
-  if (std::filesystem::exists(name.str())) {
-    eval.sweep = load_sweep(name.str());
-    if (eval.sweep.size() == groups.size()) {
-      std::cerr << "[ocps] loaded sweep cache (" << eval.sweep.size()
-                << " groups) from " << name.str() << "\n";
-      return eval;
-    }
-  }
-
   SweepOptions sweep_options;
   sweep_options.capacity = eval.capacity;
   PhaseTimer timer("load_evaluation.sweep");
@@ -177,8 +93,6 @@ Evaluation load_evaluation() {
             << elapsed << " s ("
             << elapsed / static_cast<double>(eval.sweep.size())
             << " s/group)\n";
-  std::filesystem::create_directories(cache_dir());
-  save_sweep(eval.sweep, name.str());
   return eval;
 }
 

@@ -1,16 +1,17 @@
 // Shared plumbing for the bench harness binaries.
 //
 // Every table/figure binary needs the profiled 16-program suite and most
-// need the full 1820-group six-method sweep. Both are cached on disk
-// (directory OCPS_SUITE_CACHE, default ./ocps_cache) so that running all
-// bench binaries back to back profiles and sweeps only once — mirroring
-// the paper's persisted footprint files.
+// need the full 1820-group six-method sweep. The suite's footprints are
+// cached on disk (directory OCPS_SUITE_CACHE, default ./ocps_cache) so
+// that running all bench binaries back to back profiles only once —
+// mirroring the paper's persisted footprint files. The sweep is cheap
+// enough to recompute in every binary.
 //
 // Environment knobs:
 //   OCPS_TRACE_LENGTH  accesses per program           (default 400000)
 //   OCPS_CAPACITY      cache size in 8KB-like units   (default 1024)
 //   OCPS_GROUP_LIMIT   cap on number of co-run groups (default all 1820)
-//   OCPS_SUITE_CACHE   cache directory                (default ./ocps_cache)
+//   OCPS_SUITE_CACHE   footprint cache directory      (default ./ocps_cache)
 //   OCPS_CSV_DIR       when set, figure series are also written as CSV
 #pragma once
 
@@ -68,7 +69,7 @@ struct Evaluation {
 /// Builds the suite from env options (with on-disk footprint cache).
 Suite load_suite();
 
-/// Builds the suite and runs (or loads from cache) the full group sweep.
+/// Builds the suite and runs the full group sweep.
 Evaluation load_evaluation();
 
 /// Writes a table to stdout, and to `<OCPS_CSV_DIR>/<name>.csv` when the
@@ -78,10 +79,5 @@ void emit_table(const TextTable& table, const std::string& name);
 /// Writes a table only to `<OCPS_CSV_DIR>/<name>.csv` (no stdout); used for
 /// full figure series too long to print.
 void emit_csv_only(const TextTable& table, const std::string& name);
-
-/// Serialization of sweeps (exposed for tests of the cache layer).
-void save_sweep(const std::vector<GroupEvaluation>& sweep,
-                const std::string& path);
-std::vector<GroupEvaluation> load_sweep(const std::string& path);
 
 }  // namespace ocps::bench

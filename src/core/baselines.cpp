@@ -1,5 +1,6 @@
 #include "core/baselines.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.hpp"
@@ -14,24 +15,26 @@ std::vector<std::size_t> equal_partition(std::size_t programs,
   return alloc;
 }
 
+std::size_t baseline_min_alloc(const MissRatioCurve& mrc, double baseline) {
+  // Smallest integer size at least as good as the (possibly fractional)
+  // baseline. LRU inclusion (monotone MRC) makes this a threshold query;
+  // the tolerance absorbs interpolation noise at fractional baselines.
+  const std::size_t min_alloc =
+      mrc.min_size_for_ratio(mrc.ratio_at(baseline), 1e-12);
+  // A fractional baseline between c and c+1 may have a (slightly) lower
+  // ratio than floor(c); never demand more than the ceiling of the
+  // baseline itself, or feasibility (Σ min <= C) could break.
+  return std::min(min_alloc,
+                  static_cast<std::size_t>(std::ceil(baseline - 1e-9)));
+}
+
 std::vector<std::size_t> baseline_min_allocs(
     const CoRunGroup& group, const std::vector<double>& baseline_alloc) {
   OCPS_CHECK(baseline_alloc.size() == group.size(),
              "baseline must cover every member");
   std::vector<std::size_t> min_alloc(group.size());
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    double baseline_mr = group[i].mrc.ratio_at(baseline_alloc[i]);
-    // Smallest integer size at least as good as the (possibly fractional)
-    // baseline. LRU inclusion (monotone MRC) makes this a threshold query;
-    // the tolerance absorbs interpolation noise at fractional baselines.
-    min_alloc[i] = group[i].mrc.min_size_for_ratio(baseline_mr, 1e-12);
-    // A fractional baseline between c and c+1 may have a (slightly) lower
-    // ratio than floor(c); never demand more than the ceiling of the
-    // baseline itself, or feasibility (Σ min <= C) could break.
-    std::size_t ceil_base =
-        static_cast<std::size_t>(std::ceil(baseline_alloc[i] - 1e-9));
-    min_alloc[i] = std::min(min_alloc[i], ceil_base);
-  }
+  for (std::size_t i = 0; i < group.size(); ++i)
+    min_alloc[i] = baseline_min_alloc(group[i].mrc, baseline_alloc[i]);
   return min_alloc;
 }
 

@@ -27,9 +27,13 @@ namespace ocps {
 std::vector<std::size_t> equal_partition(std::size_t programs,
                                          std::size_t capacity);
 
-/// Per-program minimum allocations implied by a baseline allocation:
-/// min_alloc[i] = smallest c with mr_i(c) <= mr_i(baseline_i). Fractional
-/// baselines (natural occupancies) are supported.
+/// The minimum allocation one program's baseline share implies: the
+/// smallest integer c with mr(c) <= mr(baseline), capped at
+/// ceil(baseline). Fractional baselines (natural occupancies) are
+/// supported.
+std::size_t baseline_min_alloc(const MissRatioCurve& mrc, double baseline);
+
+/// baseline_min_alloc for every member of a group.
 std::vector<std::size_t> baseline_min_allocs(
     const CoRunGroup& group, const std::vector<double>& baseline_alloc);
 

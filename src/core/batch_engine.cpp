@@ -51,6 +51,17 @@ struct SolveRecorder {
 
 }  // namespace
 
+void dp_detail::check_costs(CostMatrixView cost, std::size_t capacity) {
+  OCPS_CHECK(cost.cols() >= capacity + 1,
+             "cost curves shorter than capacity+1");
+  for (std::size_t i = 0; i < cost.rows(); ++i) {
+    const double* row = cost.row(i);
+    for (std::size_t c = 0; c <= capacity; ++c)
+      OCPS_CHECK(std::isfinite(row[c]),
+                 "non-finite cost at program " << i << ", c=" << c);
+  }
+}
+
 void dp_detail::solve_layers(LayerLoop& loop, DpResult& out) {
   SolveRecorder recorder{loop};
   const std::size_t p = loop.count, cap = loop.capacity, stride = cap + 1;
@@ -149,14 +160,7 @@ void dp_detail::solve_layers(LayerLoop& loop, DpResult& out) {
 
 void PrefixDpSolver::configure(CostMatrixView all_costs, std::size_t capacity,
                                DpObjective objective) {
-  OCPS_CHECK(all_costs.cols() >= capacity + 1,
-             "cost table shorter than capacity+1");
-  for (std::size_t i = 0; i < all_costs.rows(); ++i) {
-    const double* row = all_costs.row(i);
-    for (std::size_t c = 0; c <= capacity; ++c)
-      OCPS_CHECK(std::isfinite(row[c]),
-                 "non-finite cost at program " << i << ", c=" << c);
-  }
+  dp_detail::check_costs(all_costs, capacity);
   costs_ = all_costs;
   capacity_ = capacity;
   objective_ = objective;
@@ -236,14 +240,7 @@ std::size_t PrefixDpSolver::resolve_incremental(CostMatrixView new_costs) {
                  << new_costs.rows() << "x" << new_costs.cols() << " vs "
                  << costs_.rows() << "x" << costs_.cols()
                  << "); use configure()");
-  // Same validation configure() performs: a non-finite entry must fail
-  // loudly here, never corrupt a min-reduction later.
-  for (std::size_t i = 0; i < new_costs.rows(); ++i) {
-    const double* row = new_costs.row(i);
-    for (std::size_t c = 0; c <= capacity_; ++c)
-      OCPS_CHECK(std::isfinite(row[c]),
-                 "non-finite cost at program " << i << ", c=" << c);
-  }
+  dp_detail::check_costs(new_costs, capacity_);
   costs_ = new_costs;
   std::size_t keep = 0;
   while (keep < valid_layers_ &&

@@ -81,6 +81,11 @@ struct LayerLoop {
   std::uint64_t cells = 0;  ///< out: (state, candidate) cells examined
 };
 
+/// Throws CheckError unless every row of `cost` covers c = 0..capacity
+/// with finite values: a NaN or inf would silently corrupt the
+/// min-reduction. Every solver validates its table through this.
+void check_costs(CostMatrixView cost, std::size_t capacity);
+
 /// Runs the windowed DP over loop.count positions and backtracks into
 /// `out` (feasible == false when the bounds admit no allocation). Rows
 /// [0, loop.reuse) are kept while top[j] reaches this solve's C − R_j;
@@ -111,8 +116,8 @@ class PrefixDpSolver {
 
   /// Binds the solver to a cost table (cost(i, c) for every program i in
   /// the table, c = 0..capacity) and an objective. Validates the table
-  /// once (finite entries) so per-solve validation is free. Invalidates
-  /// any cached layers.
+  /// once (dp_detail::check_costs) so per-solve validation is free.
+  /// Invalidates any cached layers.
   void configure(CostMatrixView all_costs, std::size_t capacity,
                  DpObjective objective);
 

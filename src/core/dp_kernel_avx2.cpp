@@ -13,10 +13,10 @@
 // unless candidate < best — the scalar strict-less update, so a live
 // minimum never changes sign or payload. A candidate fed by prev = +inf
 // is +inf and never replaces anything, which is the scalar skip.
-// best_candidate reduces across lanes to the smallest c among equal
-// minima, as the scalar first-minimum scan does. The only differences
-// are memory access shape (16 states per block, masked tail blocks) and
-// where the argmin reduction happens.
+// best_candidate finds the minimum first and then the smallest c whose
+// candidate equals it, which is the scalar first-minimum scan's c. The
+// only differences are memory access shape (16 states per block, masked
+// tail blocks) and the order in which the minimum is reduced.
 #include "core/dp_kernel.hpp"
 
 #if defined(__AVX2__)
@@ -42,11 +42,6 @@ alignas(32) constexpr long long kLaneMask[2 * kBlock] = {
     -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
     0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0};
 
-// Lane indices within a 4-wide vector, as int64 (lane 0 first).
-inline __m256i iota4(long long base) {
-  return _mm256_set_epi64x(base + 3, base + 2, base + 1, base + 0);
-}
-
 // Reverses the four doubles of v (lane 0 <-> lane 3, lane 1 <-> lane 2).
 inline __m256d reverse4(__m256d v) {
   return _mm256_permute4x64_pd(v, 0x1B);
@@ -62,62 +57,48 @@ inline __m256d combine4(__m256d prev, __m256d cost) {
 }
 
 // min over c in [lo, c_max] of combine(prev[k - c], cost_row[c]) for one
-// state k and its smallest argmin, vectorized along c with reversed prev
-// loads. Requires c_max <= k.
+// state k and its smallest argmin, in two passes along c: a values-only
+// _mm256_min_pd pass finds the minimum, then a compare scan returns the
+// first candidate equal to it with that candidate's own value (so of a
+// -0.0/+0.0 tie the first one's bits, as the scalar scan keeps). A
+// candidate fed by prev = +inf is +inf, so it is never the minimum of a
+// state that has a finite one. Requires c_max <= k.
 template <DpObjective Obj>
 Argmin single_state(const double* cost_row, std::size_t lo,
                     std::size_t c_max, std::size_t k, const double* prev) {
-  Argmin best{kInf, 0};
-  if (c_max < lo) return best;
+  // Candidates c..c+3: lane l wants prev[k - (c + l)], descending
+  // addresses, so load the 4 doubles ending at k - c and reverse.
+  auto four = [&](std::size_t c) {
+    return combine4<Obj>(reverse4(_mm256_loadu_pd(prev + (k - c - 3))),
+                         _mm256_loadu_pd(cost_row + c));
+  };
+  auto one = [&](std::size_t c) {
+    return combine(Obj, prev[k - c], cost_row[c]);
+  };
   std::size_t c = lo;
-  if (c_max - lo + 1 >= 8) {
-    __m256d b0 = _mm256_set1_pd(kInf), b1 = b0;
-    __m256i bc0 = _mm256_setzero_si256(), bc1 = bc0;
-    for (; c + 7 <= c_max; c += 8) {
-      const __m256d cost0 = _mm256_loadu_pd(cost_row + c);
-      const __m256d cost1 = _mm256_loadu_pd(cost_row + c + 4);
-      // Lane l wants prev[k - (c + l)]: descending addresses, so load
-      // the 4 doubles ending at k - c and reverse.
-      const __m256d p0 = reverse4(_mm256_loadu_pd(prev + (k - c - 3)));
-      const __m256d p1 = reverse4(_mm256_loadu_pd(prev + (k - c - 7)));
-      const __m256d v0 = combine4<Obj>(p0, cost0);
-      const __m256d v1 = combine4<Obj>(p1, cost1);
-      const __m256d m0 = _mm256_cmp_pd(v0, b0, _CMP_LT_OQ);
-      const __m256d m1 = _mm256_cmp_pd(v1, b1, _CMP_LT_OQ);
-      b0 = _mm256_blendv_pd(b0, v0, m0);
-      b1 = _mm256_blendv_pd(b1, v1, m1);
-      const long long cc = static_cast<long long>(c);
-      bc0 = _mm256_blendv_epi8(bc0, iota4(cc),
-                               _mm256_castpd_si256(m0));
-      bc1 = _mm256_blendv_epi8(bc1, iota4(cc + 4),
-                               _mm256_castpd_si256(m1));
-    }
-    // Cross-lane reduction: smallest value wins; equal values resolve to
-    // the smallest c, whose own value is kept, matching the scalar
-    // first-minimum scan. A lane still at +inf never had a live
-    // candidate and must not donate its c (scalar leaves c at 0 then).
-    alignas(32) double vb[8];
-    alignas(32) long long vc[8];
-    _mm256_store_pd(vb, b0);
-    _mm256_store_pd(vb + 4, b1);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(vc), bc0);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(vc + 4), bc1);
-    for (int l = 0; l < 8; ++l) {
-      const std::size_t lane_c = static_cast<std::size_t>(vc[l]);
-      if (vb[l] < best.value ||
-          (vb[l] == best.value && vb[l] != kInf && lane_c < best.c))
-        best = {vb[l], lane_c};
+  __m256d m0 = _mm256_set1_pd(kInf), m1 = m0;
+  for (; c + 7 <= c_max; c += 8) {
+    m0 = _mm256_min_pd(four(c), m0);
+    m1 = _mm256_min_pd(four(c + 4), m1);
+  }
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, _mm256_min_pd(m0, m1));
+  double min = std::min(std::min(lanes[0], lanes[1]),
+                        std::min(lanes[2], lanes[3]));
+  for (; c <= c_max; ++c) min = std::min(min, one(c));
+  if (min == kInf) return {kInf, 0};
+
+  const __m256d target = _mm256_set1_pd(min);
+  for (c = lo; c + 3 <= c_max; c += 4) {
+    const int hits =
+        _mm256_movemask_pd(_mm256_cmp_pd(four(c), target, _CMP_EQ_OQ));
+    if (hits != 0) {
+      c += static_cast<std::size_t>(__builtin_ctz(hits));
+      return {one(c), c};
     }
   }
-  // Tail candidates have larger c than every vector candidate, so the
-  // scalar strict-less update preserves the global smallest-c tie-break.
-  for (; c <= c_max; ++c) {
-    const double prev_v = prev[k - c];
-    if (prev_v == kInf) continue;
-    const double val = combine(Obj, prev_v, cost_row[c]);
-    if (val < best.value) best = {val, c};
-  }
-  return best;
+  while (one(c) != min) ++c;
+  return {one(c), c};
 }
 
 // Folds candidates [lo, c_end] into a block of 16 states starting at kb,

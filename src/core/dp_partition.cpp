@@ -1,9 +1,7 @@
 #include "core/dp_partition.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <string>
 
 #include "combinatorics/enumerate.hpp"
 #include "core/batch_engine.hpp"
@@ -20,16 +18,7 @@ void validate(CostMatrixView cost, std::size_t capacity,
               const DpOptions& options) {
   const std::size_t p = cost.rows();
   OCPS_CHECK(p >= 1, "need at least one program");
-  OCPS_CHECK(cost.cols() >= capacity + 1,
-             "cost curves shorter than capacity+1");
-  for (std::size_t i = 0; i < p; ++i) {
-    const double* row = cost.row(i);
-    // NaN/inf in a cost curve would silently corrupt the min-reduction;
-    // fail loudly instead.
-    for (std::size_t c = 0; c <= capacity; ++c)
-      OCPS_CHECK(std::isfinite(row[c]),
-                 "non-finite cost at program " << i << ", c=" << c);
-  }
+  dp_detail::check_costs(cost, capacity);
   // Infeasible bounds (lo > hi, or Σlo > capacity) are reported by the
   // optimizers via feasible == false rather than rejected here.
   OCPS_CHECK(options.min_alloc.empty() || options.min_alloc.size() == p,
@@ -69,51 +58,6 @@ DpResult optimize_partition(CostMatrixView cost, std::size_t capacity,
                             const DpOptions& options) {
   DpScratch scratch;
   return optimize_partition(cost, capacity, options, scratch);
-}
-
-Result<DpResult> try_optimize_partition(CostMatrixView cost,
-                                        std::size_t capacity,
-                                        const DpOptions& options) {
-  // Validate up front with error values; anything optimize_partition would
-  // reject via OCPS_CHECK must be caught here first so the online path
-  // never unwinds through the DP.
-  const std::size_t p = cost.rows();
-  auto reject = [](ErrorCode code, std::string message) {
-    OCPS_OBS_COUNT("dp.errors", 1);
-    return Err(code, std::move(message));
-  };
-  if (p == 0)
-    return reject(ErrorCode::kInvalidArgument, "no cost curves given");
-  if (cost.cols() < capacity + 1)
-    return reject(ErrorCode::kInvalidArgument,
-                  "cost curves shorter than capacity+1");
-  for (std::size_t i = 0; i < p; ++i) {
-    const double* row = cost.row(i);
-    for (std::size_t c = 0; c <= capacity; ++c)
-      if (!std::isfinite(row[c]))
-        return reject(ErrorCode::kCorruptData,
-                      "non-finite cost at program " + std::to_string(i) +
-                          ", c=" + std::to_string(c));
-  }
-  if (!options.min_alloc.empty() && options.min_alloc.size() != p)
-    return reject(ErrorCode::kInvalidArgument, "min_alloc size mismatch");
-  if (!options.max_alloc.empty() && options.max_alloc.size() != p)
-    return reject(ErrorCode::kInvalidArgument, "max_alloc size mismatch");
-
-  DpResult result;
-  try {
-    result = optimize_partition(cost, capacity, options);
-  } catch (const CheckError& e) {
-    OCPS_OBS_COUNT("dp.errors", 1);
-    return Err(ErrorCode::kInternal, e.what());
-  }
-  if (!result.feasible) {
-    OCPS_OBS_COUNT("dp.errors", 1);
-    return Err(ErrorCode::kInfeasible,
-               "allocation bounds admit no partition of capacity " +
-                   std::to_string(capacity));
-  }
-  return Ok(std::move(result));
 }
 
 DpResult optimize_partition_exhaustive(CostMatrixView cost,

@@ -34,7 +34,6 @@
 #include "core/cost_matrix.hpp"
 #include "core/dp_kernel.hpp"
 #include "locality/mrc.hpp"
-#include "util/result.hpp"
 
 namespace ocps {
 
@@ -75,17 +74,6 @@ DpResult optimize_partition(CostMatrixView cost, std::size_t capacity,
 /// Same, with caller-owned scratch (no table allocation once warm).
 DpResult optimize_partition(CostMatrixView cost, std::size_t capacity,
                             const DpOptions& options, DpScratch& scratch);
-
-/// Guarded entry point for the runtime path. Same optimization as
-/// optimize_partition, but every failure mode — malformed cost curves
-/// (wrong sizes, NaN/inf entries), infeasible bounds, or an unexpected
-/// internal CheckError — comes back as an Error value instead of an
-/// exception, so an online caller can hold its last-good allocation and
-/// keep serving. Offline/batch callers should keep using
-/// optimize_partition, where aborting on bad input is the right policy.
-Result<DpResult> try_optimize_partition(CostMatrixView cost,
-                                        std::size_t capacity,
-                                        const DpOptions& options = {});
 
 /// Exhaustive reference optimizer (enumerates every composition); used as
 /// the test oracle for the DP. Exponential — small instances only.

@@ -1,7 +1,5 @@
 #include "core/group_sweep.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <map>
 
 #include "core/baselines.hpp"
@@ -90,37 +88,28 @@ struct BatchContext {
   }
 
   // Lower bounds implied by the equal-partition baseline, position by
-  // position. Same arithmetic as baseline_min_allocs: the equal share of
-  // position j depends only on the group size, so the bound is a pure
-  // (program, position) function — shareable across every group of that
-  // size, unlike the natural baseline whose shares depend on the whole
-  // group.
+  // position: the equal share of position j depends only on the group
+  // size, so the bound is a pure (program, position) function —
+  // shareable across every group of that size, unlike the natural
+  // baseline whose shares depend on the whole group.
   const std::vector<std::size_t>& equal_lo_table(std::size_t group_size) {
     auto it = equal_lo.find(group_size);
     if (it != equal_lo.end()) return it->second;
     auto shares = equal_partition(group_size, capacity);
     std::vector<std::size_t> table(programs.size() * group_size);
-    for (std::size_t m = 0; m < programs.size(); ++m) {
-      const auto& mrc = programs[m].mrc;
-      for (std::size_t j = 0; j < group_size; ++j) {
-        double share = static_cast<double>(shares[j]);
-        double baseline_mr = mrc.ratio_at(share);
-        std::size_t min_alloc = mrc.min_size_for_ratio(baseline_mr, 1e-12);
-        std::size_t ceil_base =
-            static_cast<std::size_t>(std::ceil(share - 1e-9));
-        table[m * group_size + j] = std::min(min_alloc, ceil_base);
-      }
-    }
+    for (std::size_t m = 0; m < programs.size(); ++m)
+      for (std::size_t j = 0; j < group_size; ++j)
+        table[m * group_size + j] = baseline_min_alloc(
+            programs[m].mrc, static_cast<double>(shares[j]));
     return equal_lo.emplace(group_size, std::move(table)).first->second;
   }
 };
 
-// The six-method evaluation, batched: identical computations (and
-// results) to the standalone evaluate_group, but Optimal and
-// Equal-baseline go through the prefix-sharing solvers and every view is
-// gathered from the flat table instead of copied.
-GroupEvaluation evaluate_group_batched(
-    BatchContext& ctx, const std::vector<std::uint32_t>& members) {
+// The six-method evaluation of one group. Optimal and Equal-baseline go
+// through the prefix-sharing solvers, and every view is gathered from the
+// flat table instead of copied.
+GroupEvaluation evaluate(BatchContext& ctx,
+                         const std::vector<std::uint32_t>& members) {
   OCPS_CHECK(!members.empty(), "empty group");
   obs::ScopedSpan span("sweep.evaluate_group", "core");
   span.set_arg("members", members.size());
@@ -202,83 +191,6 @@ GroupEvaluation evaluate_group_batched(
 
 }  // namespace
 
-GroupEvaluation evaluate_group(const std::vector<ProgramModel>& programs,
-                               CostMatrixView unit_costs,
-                               const std::vector<std::uint32_t>& members,
-                               const SweepOptions& options) {
-  OCPS_CHECK(!members.empty(), "empty group");
-  obs::ScopedSpan span("sweep.evaluate_group", "core");
-  span.set_arg("members", members.size());
-  const std::size_t capacity = options.capacity;
-  OCPS_CHECK(unit_costs.cols() >= capacity + 1,
-             "unit cost table shorter than capacity+1");
-
-  std::vector<const ProgramModel*> models;
-  std::vector<const double*> row_ptrs;
-  models.reserve(members.size());
-  row_ptrs.reserve(members.size());
-  for (std::uint32_t idx : members) {
-    OCPS_CHECK(idx < programs.size(), "program index out of range: " << idx);
-    OCPS_CHECK(idx < unit_costs.rows(),
-               "unit cost table has no row " << idx);
-    models.push_back(&programs[idx]);
-    row_ptrs.push_back(unit_costs.row(idx));
-  }
-  CoRunGroup group(std::move(models));
-  CostMatrixView cost(row_ptrs.data(), members.size(), unit_costs.cols());
-
-  GroupEvaluation eval;
-  eval.members = members;
-
-  // Equal.
-  auto equal = equal_partition(group.size(), capacity);
-  eval.methods[static_cast<std::size_t>(Method::kEqual)] =
-      outcome_from_alloc(group, equal);
-
-  // Natural (free-for-all sharing): fractional occupancies.
-  {
-    MethodOutcome out;
-    out.alloc = natural_partition(group, static_cast<double>(capacity));
-    out.per_program_mr =
-        predict_shared_miss_ratios(group, static_cast<double>(capacity));
-    out.group_mr = group_miss_ratio(group, out.per_program_mr);
-    eval.methods[static_cast<std::size_t>(Method::kNatural)] = std::move(out);
-  }
-
-  // Equal baseline.
-  {
-    DpResult dp = optimize_equal_baseline(group, cost, capacity);
-    eval.methods[static_cast<std::size_t>(Method::kEqualBaseline)] =
-        outcome_from_alloc(group, dp.alloc);
-  }
-
-  // Natural baseline.
-  {
-    DpResult dp = optimize_natural_baseline(group, cost, capacity);
-    eval.methods[static_cast<std::size_t>(Method::kNaturalBaseline)] =
-        outcome_from_alloc(group, dp.alloc);
-  }
-
-  // Optimal (unconstrained DP).
-  {
-    DpResult dp = optimize_partition(cost, capacity);
-    OCPS_CHECK(dp.feasible, "unconstrained DP must be feasible");
-    eval.methods[static_cast<std::size_t>(Method::kOptimal)] =
-        outcome_from_alloc(group, dp.alloc);
-  }
-
-  // STTW.
-  {
-    SttwResult sttw = sttw_partition(cost, capacity);
-    eval.methods[static_cast<std::size_t>(Method::kSttw)] =
-        outcome_from_alloc(group, sttw.alloc);
-  }
-
-  OCPS_OBS_COUNT("sweep.groups_evaluated", 1);
-  OCPS_OBS_HIST("sweep.group_eval_ns", span.elapsed_ns());
-  return eval;
-}
-
 std::vector<GroupEvaluation> sweep_groups(
     const std::vector<ProgramModel>& programs,
     const std::vector<std::vector<std::uint32_t>>& groups,
@@ -302,7 +214,7 @@ std::vector<GroupEvaluation> sweep_groups(
                                       std::to_string(groups.size()) +
                                       " pending");
         }
-        out[g] = evaluate_group_batched(ctx, groups[g]);
+        out[g] = evaluate(ctx, groups[g]);
       },
       options.threads);
   return out;

@@ -11,9 +11,8 @@
 // and summarize improvements in Table I's format. Groups are independent,
 // so the sweep parallelizes across groups on the persistent thread pool;
 // within each thread, a PrefixDpSolver (core/batch_engine.hpp) shares DP
-// layers between groups with a common member prefix, so the batched sweep
-// is several times faster than per-group evaluation while producing
-// bit-for-bit identical results.
+// layers between groups with a common member prefix. sweep_groups is the
+// one evaluation path: a single group is a sweep over one group.
 #pragma once
 
 #include <array>
@@ -87,23 +86,14 @@ class SweepDeadlineExceeded : public CheckError {
   explicit SweepDeadlineExceeded(const std::string& what) : CheckError(what) {}
 };
 
-/// Evaluates every method on one group. `unit_costs(i, c)` must hold
-/// access_rate_i * mr_i(c) for every program i in the table (precompute
-/// once with precompute_unit_cost_matrix). Batch callers should prefer
-/// sweep_groups, which additionally shares DP work between groups.
-GroupEvaluation evaluate_group(const std::vector<ProgramModel>& programs,
-                               CostMatrixView unit_costs,
-                               const std::vector<std::uint32_t>& members,
-                               const SweepOptions& options);
-
 /// Rate-weighted miss-count cost curves for all programs, flat storage.
 CostMatrix precompute_unit_cost_matrix(
     const std::vector<ProgramModel>& programs, std::size_t capacity);
 
-/// Runs the batched evaluation over every listed group: parallel across
-/// groups, prefix-shared DP within each thread. Results are identical to
-/// calling evaluate_group per group (enumerate groups in lexicographic
-/// member order for the best layer reuse).
+/// Evaluates every method on every listed group: parallel across groups,
+/// prefix-shared DP within each thread. Results do not depend on the
+/// thread count or the kernel (enumerate groups in lexicographic member
+/// order for the best layer reuse).
 std::vector<GroupEvaluation> sweep_groups(
     const std::vector<ProgramModel>& programs,
     const std::vector<std::vector<std::uint32_t>>& groups,

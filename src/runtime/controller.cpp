@@ -302,9 +302,9 @@ ControllerResult run_online_controller(const InterleavedTrace& trace,
         obs::ScopedSpan span("dp_solve", "controller");
         if (hooks.fail_dp && hooks.fail_dp(epoch_index))
           return Result<DpResult>(ErrorCode::kInternal, "injected DP fault");
-        // Same guarantees as try_optimize_partition — every failure mode
-        // comes back as an Error value — but through the persistent
-        // incremental solver instead of a cold DP table.
+        // Every failure mode of the persistent incremental solver
+        // (malformed or non-finite costs, infeasible bounds) comes back
+        // as an Error value, so a bad epoch holds the last allocation.
         try {
           if (!dp_solver_ready) {
             dp_solver.configure(ewma_cost.view(), config.capacity,

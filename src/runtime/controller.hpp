@@ -9,9 +9,9 @@
 // epoch runs under an equal partition (nothing is known yet).
 //
 // The loop is fault-tolerant: every sampled estimate passes through the
-// profile sanitizer (locality/sanitize.hpp) and the DP runs behind its
-// guarded entry point, so a bad epoch degrades the allocation decision
-// instead of aborting the run. The degradation ladder, worst case first:
+// profile sanitizer (locality/sanitize.hpp) and every DP failure comes
+// back as an Error value, so a bad epoch degrades the allocation
+// decision instead of aborting the run. The degradation ladder, worst case first:
 //   1. sanitize  — repairable corruption (NaN, spikes, truncation) is
 //                  fixed in place and counted;
 //   2. hold      — a program whose estimate is unusable keeps its

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 
 #include "combinatorics/enumerate.hpp"
 #include "core/batch_engine.hpp"
@@ -214,16 +215,17 @@ TEST_P(DpOracleProperty, BoundedRowsOfEveryShapeMatchExhaustiveSearch) {
   }
 }
 
-// Property: one PrefixDpSolver over lex-ordered groups of an 8-row table
-// answers exactly like a fresh optimize_partition on the gathered view.
-// Prefix lower bounds depend only on (member, position), so consecutive
-// groups share cached layers, while the last position's bound changes
-// from solve to solve: each group is solved with a random last bound and
-// then with none, so a layer cached under a tall suffix (a low top
-// state) is offered to a solve that needs states above it.
-TEST_P(DpOracleProperty, PrefixSolverMatchesFreshSolvesAsSuffixBoundsChange) {
-  auto [seed, mixed, objective] = GetParam();
-  Rng rng(static_cast<std::uint64_t>(seed) * 6151 + 3);
+// Solves every lex-ordered group of 2..4 members of an 8-row table with
+// one PrefixDpSolver, `passes` times per group, and expects every answer
+// to equal a fresh optimize_partition on the gathered view. A solve's
+// lower bounds start from prefix bounds that depend only on (member,
+// position), so consecutive groups share cached layers, with 0 at the
+// last position; edit(pass, cap, lo) changes them for that pass.
+template <typename Edit>
+void expect_prefix_solver_matches_fresh_solves(Rng& rng, int seed,
+                                               bool mixed,
+                                               DpObjective objective,
+                                               int passes, Edit edit) {
   const std::size_t cap = 8 + rng.below(17);  // 8..24 units
   CostMatrix table(8, cap);
   for (std::size_t i = 0; i < 8; ++i) {
@@ -241,17 +243,19 @@ TEST_P(DpOracleProperty, PrefixSolverMatchesFreshSolvesAsSuffixBoundsChange) {
   DpResult cached;
   for (std::uint32_t k = 2; k <= 4; ++k) {
     for (const auto& members : all_subsets(8, k)) {
-      for (int pass = 0; pass < 2; ++pass) {
+      for (int pass = 0; pass < passes; ++pass) {
         DpOptions opt;
         opt.objective = objective;
         for (std::size_t j = 0; j + 1 < k; ++j)
           opt.min_alloc.push_back(prefix_lo[members[j]][j]);
-        opt.min_alloc.push_back(pass == 0 ? rng.below(cap + 2) : 0);
+        opt.min_alloc.push_back(0);
+        edit(pass, cap, opt.min_alloc);
         solver.solve(members.data(), k, opt.min_alloc.data(), cached);
         DpResult fresh = optimize_partition(
             table.gather(members.data(), k, rows), cap, opt);
         ASSERT_EQ(cached.feasible, fresh.feasible)
-            << "group of " << k << " starting at " << members[0];
+            << "group of " << k << " starting at " << members[0]
+            << ", pass " << pass;
         EXPECT_EQ(cached.alloc, fresh.alloc);
         EXPECT_EQ(0, std::memcmp(&cached.objective_value,
                                  &fresh.objective_value, sizeof(double)));
@@ -259,6 +263,37 @@ TEST_P(DpOracleProperty, PrefixSolverMatchesFreshSolvesAsSuffixBoundsChange) {
     }
   }
   EXPECT_GT(solver.stats().layers_reused, 0u);
+}
+
+// Property: the last position's bound changes from solve to solve. Each
+// group is solved with a random last bound and then with none, so a layer
+// cached under a tall suffix (a low top state) is offered to a solve that
+// needs states above it.
+TEST_P(DpOracleProperty, PrefixSolverMatchesFreshSolvesAsSuffixBoundsChange) {
+  auto [seed, mixed, objective] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(seed) * 6151 + 3);
+  expect_prefix_solver_matches_fresh_solves(
+      rng, seed, mixed, objective, 2,
+      [&rng](int pass, std::size_t cap, std::vector<std::size_t>& lo) {
+        if (pass == 0) lo.back() = rng.below(cap + 2);
+      });
+}
+
+// Property: a cached layer is reused only under the lower bound it was
+// built with. Each group is solved with its prefix bounds, then with the
+// bound at one cached position raised, then with its prefix bounds again.
+// The members and every later bound stay the same, so the layer's top
+// state still reaches the window: only the bound tells the layers apart.
+TEST_P(DpOracleProperty, PrefixSolverMatchesFreshSolvesAsPrefixBoundsChange) {
+  auto [seed, mixed, objective] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(seed) * 7507 + 11);
+  std::size_t changed = 0;
+  expect_prefix_solver_matches_fresh_solves(
+      rng, seed, mixed, objective, 3,
+      [&](int pass, std::size_t, std::vector<std::size_t>& lo) {
+        if (pass == 0) changed = rng.below(lo.size() - 1);
+        if (pass == 1) lo[changed] += 1 + rng.below(3);
+      });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -347,6 +382,17 @@ TEST(Dp, WeightedCostMatrix) {
 TEST(Dp, RejectsShortCostCurves) {
   CostMatrix cost = make_cost({{1.0, 0.5}});
   EXPECT_THROW(optimize_partition(cost.view(), 5), CheckError);
+}
+
+TEST(Dp, RejectsNonFiniteCosts) {
+  CostMatrix cost = make_cost({{1.0, 0.5, 0.2}, {1.0, 0.9, 0.1}});
+  cost.row(1)[2] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(optimize_partition(cost.view(), 2), CheckError);
+  PrefixDpSolver solver;
+  EXPECT_THROW(solver.configure(cost.view(), 2, DpObjective::kSumCost),
+               CheckError);
+  // The bad entry lies beyond capacity 1, so it is never read.
+  EXPECT_NO_THROW(optimize_partition(cost.view(), 1));
 }
 
 TEST(Dp, GatheredViewMatchesContiguous) {

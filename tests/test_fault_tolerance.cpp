@@ -1,6 +1,6 @@
 // Tests for the fault-tolerance layer: Result<T>, the profile sanitizer,
-// the guarded DP entry point, hardened loaders, the fault injector, and
-// the controller's graceful degradation.
+// hardened loaders, the fault injector, and the controller's graceful
+// degradation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/dp_partition.hpp"
 #include "locality/footprint.hpp"
 #include "locality/footprint_io.hpp"
 #include "locality/sanitize.hpp"
@@ -126,50 +125,6 @@ TEST(SanitizeFootprint, RejectsWhenNothingSurvives) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, ErrorCode::kDegenerateProfile);
   EXPECT_FALSE(sanitize_footprint_knots({1.0, 2.0}, {1.0}).ok());
-}
-
-// ------------------------------------------------------------- DP guard
-
-TEST(TryOptimize, MatchesThrowingEntryPointOnCleanInput) {
-  CostMatrix cost = CostMatrix::from_rows(
-      {
-          {1.0, 0.5, 0.2, 0.1, 0.05},
-          {1.0, 0.9, 0.3, 0.2, 0.15},
-      },
-      4);
-  Result<DpResult> guarded = try_optimize_partition(cost.view(), 4);
-  DpResult plain = optimize_partition(cost.view(), 4);
-  ASSERT_TRUE(guarded.ok());
-  EXPECT_EQ(guarded.value().alloc, plain.alloc);
-  EXPECT_DOUBLE_EQ(guarded.value().objective_value, plain.objective_value);
-}
-
-TEST(TryOptimize, ErrorsInsteadOfThrowing) {
-  std::vector<std::vector<double>> nan_cost = {{1.0, kNaN, 0.2}};
-  Result<DpResult> corrupt =
-      try_optimize_partition(CostMatrix::from_rows(nan_cost, 2).view(), 2);
-  ASSERT_FALSE(corrupt.ok());
-  EXPECT_EQ(corrupt.error().code, ErrorCode::kCorruptData);
-
-  // A view narrower than capacity+1 must come back as an error value, not
-  // unwind through the DP.
-  std::vector<double> short_row = {1.0, 0.5};
-  const double* short_rows[] = {short_row.data()};
-  Result<DpResult> truncated = try_optimize_partition(
-      CostMatrixView(short_rows, 1, short_row.size()), 5);
-  ASSERT_FALSE(truncated.ok());
-  EXPECT_EQ(truncated.error().code, ErrorCode::kInvalidArgument);
-
-  CostMatrix cost = CostMatrix::from_rows(
-      {{1.0, 0.5, 0.2}, {1.0, 0.5, 0.2}}, 2);
-  DpOptions options;
-  options.min_alloc = {2, 2};  // 4 > capacity 2
-  Result<DpResult> infeasible =
-      try_optimize_partition(cost.view(), 2, options);
-  ASSERT_FALSE(infeasible.ok());
-  EXPECT_EQ(infeasible.error().code, ErrorCode::kInfeasible);
-
-  EXPECT_FALSE(try_optimize_partition(CostMatrixView(), 4).ok());
 }
 
 // ------------------------------------------------------ hardened loaders

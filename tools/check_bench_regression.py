@@ -8,15 +8,17 @@ against ``BENCH_dp_speed.json``'s ``microbenchmarks_after_ms`` table and
 * **fails** (exit 1) when a gated benchmark — by default the batched-sweep
   ones, the whole point of the PR 3 engine — is more than ``--threshold``
   (default 25%) slower than its committed baseline,
-* **fails** when a baseline series is missing from the results entirely
-  (a renamed or silently dropped benchmark must not pass the gate; a
-  benchmark the runner skipped with an explicit error, e.g. the AVX2
-  kernel on a CPU without AVX2, is exempt and reported), and
+* **fails** when a baseline series is missing from the results entirely,
+  or an anchor's series (below) is missing from the results or the
+  baseline (a renamed or silently dropped benchmark must not pass the
+  gate; a benchmark the runner skipped with an explicit error, e.g. the
+  AVX2 kernel on a CPU without AVX2, is exempt and reported), and
 * **degrades to warn-only** when the run looks noisy: with
   ``--benchmark_repetitions`` the spread between a benchmark's fastest and
   slowest repetition is computed, and if any gated benchmark's spread
   exceeds ``--noise-threshold`` (default 10%) the runner is deemed too
   noisy to gate hard — regressions are printed but the exit code stays 0.
+  Missing series still fail: noise cannot explain them.
 
 Malformed input — truncated or non-JSON results, a baseline without the
 expected tables — exits 1 with a one-line diagnosis, never a traceback.
@@ -24,8 +26,10 @@ expected tables — exits 1 with a one-line diagnosis, never a traceback.
 Absolute times move with the runner's CPU, so the gate also checks three
 machine-independent anchors measured within the same run:
 
-* the *ratio* of the batched sweep to the per-group sweep (the committed
-  baseline has batched ≈ 1.6× faster),
+* the *ratio* of the one-thread 1820-group six-method sweep at C = 256 to
+  one unbounded 4-program DP solve at C = 1024 (baseline ≈ 300): the
+  sweep shares DP layers between groups with a common member prefix, and
+  losing that sharing raised the ratio by about 60%,
 * the *ratio* of the AVX2 forward-layer kernel to the scalar reference
   (baseline ≈ 12× faster: values-only layers in 16-state blocks), and
 * the *ratio* of a baseline-bounded solve (lower bounds summing to 0.92·C)
@@ -161,6 +165,7 @@ def main() -> int:
               f"gate degraded to warn-only")
 
     failures: list[str] = []
+    missing: list[str] = []  # fail even on a noisy runner
     warnings: list[str] = []
     print(f"{'benchmark':<40} {'baseline ms':>12} {'measured ms':>12} "
           f"{'ratio':>7}")
@@ -180,7 +185,7 @@ def main() -> int:
                 # produced: renamed, dropped, or a filtered run. Passing
                 # silently here is how a deleted benchmark sneaks through
                 # the gate, so this is a hard failure.
-                failures.append(
+                missing.append(
                     f"{name}: expected series missing from results "
                     f"(renamed, dropped, or filtered run?)")
             continue
@@ -204,9 +209,9 @@ def main() -> int:
     # If the measured ratio loses more than --threshold of the committed
     # advantage, the engine (or kernel) itself regressed.
     anchors = [
-        ("batched/per-group ratio",
-         "BM_GroupSweepBatched/256", "BM_GroupSweepPerGroup/256",
-         "the batching advantage itself regressed"),
+        ("sweep/solve ratio",
+         "BM_GroupSweepBatched/256", "BM_DpPartition/4/1024",
+         "the sweep no longer shares DP layers between groups"),
         ("avx2/scalar kernel ratio",
          "BM_ForwardLayerAvx2/1024", "BM_ForwardLayerScalar/1024",
          "the SIMD kernel advantage itself regressed"),
@@ -218,8 +223,15 @@ def main() -> int:
         if num in skipped or den in skipped:
             print(f"{label:<40} {'(skipped)':>12}")
             continue
-        if not (num in measured and den in measured
-                and num in baseline and den in baseline):
+        absent = [f"{name} in {where}"
+                  for name in (num, den)
+                  for where, table in (("results", measured),
+                                       ("baseline", baseline))
+                  if name not in table]
+        if absent:
+            print(f"{label:<40} {'(missing)':>12}")
+            missing.append(
+                f"{label}: anchor series missing ({', '.join(absent)})")
             continue
         base_ratio = float(baseline[num]) / float(baseline[den])
         run_ratio = measured[num] / measured[den]
@@ -231,12 +243,16 @@ def main() -> int:
 
     for msg in warnings:
         print(f"WARN: {msg}")
+    for msg in missing:
+        print(f"FAIL: {msg}")
     if failures:
         for msg in failures:
             print(f"{'WARN' if noisy else 'FAIL'}: {msg}")
-        if noisy:
+        if noisy and not missing:
             print("exit 0: noisy runner, regressions reported as warnings")
             return 0
+        return 1
+    if missing:
         return 1
     print("OK: no gated regressions")
     return 0
