@@ -1,5 +1,5 @@
-// Build identity for the ocps_build_info exposition. Compiled in every
-// mode — OCPS_OBS_DISABLED removes telemetry, not the binary's identity.
+// Build identity for the ocps_build_info exposition. It describes the
+// binary, so it holds whether or not obs is recording.
 #include <atomic>
 
 #include "obs/obs.hpp"

@@ -1,7 +1,6 @@
 #include "obs/decision_log.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 namespace ocps::obs {
@@ -19,13 +18,6 @@ const char* decision_trigger_name(DecisionTrigger t) {
 DecisionLog::DecisionLog(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
   ring_.resize(capacity_);
-}
-
-std::uint64_t DecisionLog::steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 std::uint64_t DecisionLog::record(DecisionRecord rec, std::uint64_t now_ns) {

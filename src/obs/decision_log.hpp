@@ -20,8 +20,9 @@
 //
 // Like SloTracker, both classes are deliberately independent of the
 // metrics registry and of the OCPS_OBS runtime flag: they cost a mutex
-// + a few vectors, they work in OCPS_OBS_DISABLED builds, and the
-// `decisions` serve op answers from them even with observability off.
+// + a few vectors, and the `decisions` serve op answers from them even
+// with observability off. Callers stamp records with
+// obs::steady_now_ns().
 // Only the helper functions at the bottom (histograms, gauges,
 // exemplars) touch the registry, and those gate on obs::enabled().
 //
@@ -132,9 +133,6 @@ class DecisionLog {
   DecisionAccuracy accuracy() const;
   std::uint64_t last_id() const;
   std::size_t capacity() const { return capacity_; }
-
-  /// Steady-clock nanoseconds for callers without their own clock.
-  static std::uint64_t steady_now_ns();
 
  private:
   const std::size_t capacity_;

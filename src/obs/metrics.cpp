@@ -1,5 +1,3 @@
-#ifndef OCPS_OBS_DISABLED
-
 #include <cmath>
 #include <limits>
 #include <map>
@@ -329,48 +327,3 @@ void write_metrics_text(std::ostream& os, const std::string& prefix) {
 }
 
 }  // namespace ocps::obs
-
-#else  // OCPS_OBS_DISABLED
-
-#include <ostream>
-
-#include "obs/obs.hpp"
-
-namespace ocps::obs {
-
-// Dummy singletons so cached references at call sites stay valid even in
-// a compiled-out build.
-Counter& counter(const std::string&) {
-  static Counter c;
-  return c;
-}
-Gauge& gauge(const std::string&) {
-  static Gauge g;
-  return g;
-}
-Histogram& histogram(const std::string&) {
-  static Histogram h;
-  return h;
-}
-
-void write_metrics_json(std::ostream& os) {
-  const BuildInfo build = build_info();
-  auto escaped = [&os](const std::string& s) {
-    for (char c : s) {
-      if (c == '"' || c == '\\') os << '\\';
-      os << c;
-    }
-  };
-  os << "{\"build_info\":{\"git_sha\":\"";
-  escaped(build.git_sha);
-  os << "\",\"compiler\":\"";
-  escaped(build.compiler);
-  os << "\",\"simd_kernel\":\"";
-  escaped(build.simd_kernel);
-  os << "\"},\"counters\":{},\"gauges\":{},\"histograms\":{}}";
-}
-void write_metrics_text(std::ostream&, const std::string&) {}
-
-}  // namespace ocps::obs
-
-#endif  // OCPS_OBS_DISABLED

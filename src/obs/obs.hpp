@@ -15,16 +15,14 @@
 //    (newest events win), exportable as Chrome `trace_event` JSON
 //    (chrome://tracing, Perfetto) or a plain-text timeline.
 //
-// Cost model, in increasing order of off-ness:
-//  * runtime off (default): every instrumentation site is a single
+// Cost model: the layer is always compiled in, and one runtime switch
+// decides whether it records.
+//  * off (default): every instrumentation site is a single
 //    well-predicted branch on a latched flag. Nothing is allocated,
 //    recorded, or printed; results are bit-for-bit those of an
 //    uninstrumented build.
-//  * runtime on: set OCPS_OBS=1 (or call set_enabled(true), which the
-//    CLI does for `ocps stats` / `--trace-out` / `--metrics-out`).
-//  * compile-time off: build with -DOCPS_OBS_DISABLED (cmake option
-//    OCPS_OBS_DISABLED) and the whole API collapses to inline no-ops —
-//    not even the branch remains.
+//  * on: set OCPS_OBS=1 (or call set_enabled(true), which the CLI does
+//    for `ocps stats` / `--trace-out` / `--metrics-out`).
 //
 // Usage:
 //   OCPS_OBS_COUNT("sim.lru.hits", 1);
@@ -35,8 +33,11 @@
 // See docs/observability.md for the full tour.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -76,9 +77,8 @@ struct BuildInfo {
   std::string simd_kernel;  ///< active DP kernel ("avx2", "scalar", ...)
 };
 
-/// Snapshot of the build identity. Available in every build mode
-/// (including OCPS_OBS_DISABLED) — it describes the binary, not the
-/// telemetry state.
+/// Snapshot of the build identity. Available whether or not obs is on —
+/// it describes the binary, not the telemetry state.
 BuildInfo build_info();
 
 /// Registers the lazy provider for BuildInfo::simd_kernel. The DP
@@ -98,16 +98,6 @@ inline constexpr std::size_t kCounterShards = 16;
 /// last bucket holds everything at or above 2^(kHistogramBuckets-2).
 inline constexpr std::size_t kHistogramBuckets = 64;
 
-}  // namespace ocps::obs
-
-#ifndef OCPS_OBS_DISABLED
-
-#include <array>
-#include <atomic>
-#include <mutex>
-
-namespace ocps::obs {
-
 namespace detail {
 std::atomic<bool>& enabled_flag();
 }  // namespace detail
@@ -125,6 +115,11 @@ inline void set_enabled(bool on) {
 
 /// Monotonic nanoseconds since the process trace epoch (steady_clock).
 std::uint64_t now_ns();
+
+/// Raw steady_clock nanoseconds (the clock's own origin, not the trace
+/// epoch). Clock for state that works whether or not obs is on: SLO
+/// slots and decision timestamps.
+std::uint64_t steady_now_ns();
 
 /// Monotonically increasing counter, sharded to stay lock-free under the
 /// parallel sweeps. Obtain via obs::counter(); objects live forever at a
@@ -362,116 +357,3 @@ void write_text_timeline(std::ostream& os);
       ocps_obs_gauge_.set(static_cast<double>(v));                     \
     }                                                                  \
   } while (0)
-
-#else  // OCPS_OBS_DISABLED: the entire API collapses to inline no-ops.
-
-namespace ocps::obs {
-
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-inline std::uint64_t now_ns() { return 0; }
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) noexcept {}
-  std::uint64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-class Gauge {
- public:
-  void set(double) noexcept {}
-  double value() const noexcept { return 0.0; }
-  void reset() noexcept {}
-};
-
-class Histogram {
- public:
-  void observe(double) noexcept {}
-  std::uint64_t count() const noexcept { return 0; }
-  double sum() const noexcept { return 0.0; }
-  std::uint64_t bucket(std::size_t) const noexcept { return 0; }
-  void reset() noexcept {}
-  static std::size_t bucket_index(double) noexcept { return 0; }
-  static double bucket_lower_bound(std::size_t) noexcept { return 0.0; }
-  static double bucket_upper_bound(std::size_t) noexcept { return 0.0; }
-};
-
-struct HistogramSnapshot {
-  std::string name;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  std::vector<std::pair<std::size_t, std::uint64_t>> buckets;
-};
-
-struct MetricsSnapshot {
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramSnapshot> histograms;
-};
-
-Counter& counter(const std::string&);
-Gauge& gauge(const std::string&);
-Histogram& histogram(const std::string&);
-inline MetricsSnapshot metrics_snapshot() { return {}; }
-inline void reset_metrics() {}
-inline void note_exemplar(const std::string&, double, std::uint64_t) {}
-inline std::vector<std::pair<std::size_t, Exemplar>> exemplars_for(
-    const std::string&) {
-  return {};
-}
-void write_metrics_json(std::ostream& os);
-void write_metrics_text(std::ostream& os, const std::string& prefix = "");
-void write_metrics_prometheus(std::ostream& os);
-
-inline double histogram_quantile(const HistogramSnapshot&, double) {
-  return 0.0;
-}
-
-class WindowedHistogram {
- public:
-  explicit WindowedHistogram(unsigned window_seconds = 30)
-      : window_(window_seconds) {}
-  void observe(double) noexcept {}
-  HistogramSnapshot snapshot(const std::string& = "") const { return {}; }
-  unsigned window_seconds() const noexcept { return window_; }
-  void observe_at(double, std::uint64_t) noexcept {}
-  HistogramSnapshot snapshot_at(const std::string&, std::uint64_t) const {
-    return {};
-  }
-
- private:
-  unsigned window_;
-};
-
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char*, const char* = "ocps") noexcept {}
-  void set_arg(const char*, std::uint64_t) noexcept {}
-  void set_trace_id(std::uint64_t) noexcept {}
-  std::uint64_t elapsed_ns() const noexcept { return 0; }
-  bool active() const noexcept { return false; }
-};
-
-inline void instant_event(const char*, const char* = "ocps",
-                          const char* = nullptr, std::uint64_t = 0,
-                          std::uint64_t = 0) noexcept {}
-inline std::vector<TraceEvent> trace_events() { return {}; }
-inline std::vector<TraceEvent> trace_events_for(std::uint64_t) { return {}; }
-inline void clear_trace_events() {}
-void write_chrome_trace(std::ostream& os);
-void write_text_timeline(std::ostream& os);
-
-}  // namespace ocps::obs
-
-#define OCPS_OBS_COUNT(name, n) \
-  do {                          \
-  } while (0)
-#define OCPS_OBS_HIST(name, v) \
-  do {                         \
-  } while (0)
-#define OCPS_OBS_GAUGE(name, v) \
-  do {                          \
-  } while (0)
-
-#endif  // OCPS_OBS_DISABLED

@@ -2,8 +2,6 @@
 // estimation, and the sliding-window histogram used by the serve daemon
 // for "last N seconds" latency percentiles.
 
-#ifndef OCPS_OBS_DISABLED
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -216,34 +214,3 @@ HistogramSnapshot WindowedHistogram::snapshot_at(const std::string& name,
 }
 
 }  // namespace ocps::obs
-
-#else  // OCPS_OBS_DISABLED
-
-#include <ostream>
-
-#include "obs/obs.hpp"
-
-namespace ocps::obs {
-
-void write_metrics_prometheus(std::ostream& os) {
-  // Even with telemetry compiled out, the build identity still holds.
-  const BuildInfo build = build_info();
-  auto escaped = [&os](const std::string& s) {
-    for (char c : s) {
-      if (c == '\\' || c == '"') os << '\\';
-      os << c;
-    }
-  };
-  os << "# TYPE ocps_build_info gauge\nocps_build_info{git_sha=\"";
-  escaped(build.git_sha);
-  os << "\",compiler=\"";
-  escaped(build.compiler);
-  os << "\",simd_kernel=\"";
-  escaped(build.simd_kernel);
-  os << "\"} 1\n";
-  os << "# ocps observability compiled out (OCPS_OBS_DISABLED)\n";
-}
-
-}  // namespace ocps::obs
-
-#endif  // OCPS_OBS_DISABLED

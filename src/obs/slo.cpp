@@ -1,7 +1,6 @@
 #include "obs/slo.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 
 namespace ocps::obs {
@@ -19,13 +18,6 @@ SloTracker::SloTracker(SloConfig config) : config_(config) {
 
 bool SloTracker::configured() const noexcept {
   return config_.p99_ms > 0.0 || config_.availability > 0.0;
-}
-
-std::uint64_t SloTracker::steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 void SloTracker::record(double latency_ms, bool ok, std::uint64_t now_ns) {

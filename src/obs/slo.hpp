@@ -10,13 +10,12 @@
 // window (1 h, de-flapping) to burn above threshold; breach edges are
 // appended to a bounded alert log.
 //
-// This module is deliberately independent of the obs registry and clock:
-// every method takes `now_ns` explicitly (deterministic tests drive a
-// synthetic clock, production callers pass steady_now_ns()), and nothing
-// here is compiled out under OCPS_OBS_DISABLED — the serve daemon's
-// `slo` op answers even in a metrics-free build, exactly like `slowlog`.
-// Exporting burn rates as serve.slo.* gauges is the caller's job and is
-// what the obs kill switches gate.
+// This module is deliberately independent of the obs registry and of the
+// OCPS_OBS runtime flag: every method takes `now_ns` explicitly
+// (deterministic tests drive a synthetic clock, production callers pass
+// obs::steady_now_ns()), so the serve daemon's `slo` op answers with obs
+// off, exactly like `slowlog`. Exporting burn rates as serve.slo.* gauges
+// is the caller's job and is what the runtime flag gates.
 //
 // Thread safety: all methods lock an internal mutex; record() is O(1)
 // and status() is O(window seconds), called at scrape rate.
@@ -83,10 +82,6 @@ class SloTracker {
   /// the alert log (edge-triggered: one alert per transition into
   /// breach, re-armed when the objective recovers).
   Status status(std::uint64_t now_ns);
-
-  /// Steady-clock nanoseconds for production callers. Lives here (not
-  /// obs::now_ns) so the tracker works in OCPS_OBS_DISABLED builds.
-  static std::uint64_t steady_now_ns();
 
  private:
   struct Slot {

@@ -1,5 +1,3 @@
-#ifndef OCPS_OBS_DISABLED
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -13,17 +11,17 @@
 
 namespace ocps::obs {
 
-namespace {
-
-std::uint64_t steady_now_raw() {
+std::uint64_t steady_now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
 
+namespace {
+
 std::uint64_t trace_epoch() {
-  static const std::uint64_t epoch = steady_now_raw();
+  static const std::uint64_t epoch = steady_now_ns();
   return epoch;
 }
 
@@ -145,7 +143,7 @@ void escape(std::ostream& os, const char* s) {
 
 }  // namespace
 
-std::uint64_t now_ns() { return steady_now_raw() - trace_epoch(); }
+std::uint64_t now_ns() { return steady_now_ns() - trace_epoch(); }
 
 ScopedSpan::ScopedSpan(const char* name, const char* cat) noexcept {
   if (!enabled()) return;
@@ -291,18 +289,3 @@ void write_text_timeline(std::ostream& os) {
 }
 
 }  // namespace ocps::obs
-
-#else  // OCPS_OBS_DISABLED
-
-#include <ostream>
-
-#include "obs/obs.hpp"
-
-namespace ocps::obs {
-
-void write_chrome_trace(std::ostream& os) { os << "{\"traceEvents\":[]}"; }
-void write_text_timeline(std::ostream&) {}
-
-}  // namespace ocps::obs
-
-#endif  // OCPS_OBS_DISABLED

@@ -175,7 +175,7 @@ ControllerResult run_online_controller(const InterleavedTrace& trace,
       if (epoch_accesses[i] > 0)
         realized[i] = static_cast<double>(epoch_misses[i]) /
                       static_cast<double>(epoch_accesses[i]);
-    const std::uint64_t now = obs::DecisionLog::steady_now_ns();
+    const std::uint64_t now = obs::steady_now_ns();
     obs::DecisionRecord rec;
     if (out.decisions->reconcile(id, realized, partial, now, &rec) ==
         obs::DecisionLog::ReconcileStatus::kOk)
@@ -380,12 +380,12 @@ ControllerResult run_online_controller(const InterleavedTrace& trace,
       rec.solve_ns = solve_ns;
       rec.incremental = solve_incremental;
       rec.note = std::move(decision_note);
-      pending_decision = out.decisions->record(
-          std::move(rec), obs::DecisionLog::steady_now_ns());
+      pending_decision =
+          out.decisions->record(std::move(rec), obs::steady_now_ns());
       OCPS_OBS_COUNT("dp.decisions", 1);
     }
     obs::publish_decision_metrics(*out.decisions, &drift, &error_window,
-                                  obs::DecisionLog::steady_now_ns());
+                                  obs::steady_now_ns());
 
     if (health.degraded_programs > 0 || health.dp_failed)
       ++out.epochs_degraded;
@@ -422,12 +422,11 @@ ControllerResult run_online_controller(const InterleavedTrace& trace,
     rec.tenants = tenant_names;
     rec.alloc = alloc;
     rec.note = "startup equal partition";
-    pending_decision = out.decisions->record(
-        std::move(rec), obs::DecisionLog::steady_now_ns());
+    pending_decision =
+        out.decisions->record(std::move(rec), obs::steady_now_ns());
   }
 
-  // Read only by OCPS_OBS_HIST, which OCPS_OBS_DISABLED compiles out.
-  [[maybe_unused]] std::uint64_t segment_start_ns = obs::now_ns();
+  std::uint64_t segment_start_ns = obs::now_ns();
   for (std::size_t t = 0; t < trace.length(); ++t) {
     if (t > 0 && (t % config.epoch_length) == 0) {
       end_epoch();
@@ -472,7 +471,7 @@ ControllerResult run_online_controller(const InterleavedTrace& trace,
     OCPS_OBS_COUNT("controller.restarts", 0);
     OCPS_OBS_HIST("controller.epoch_ns", obs::now_ns() - segment_start_ns);
     obs::publish_decision_metrics(*out.decisions, &drift, &error_window,
-                                  obs::DecisionLog::steady_now_ns());
+                                  obs::steady_now_ns());
   }
   out.drift = drift.status();
   out.drift_alerts = drift.alerts();

@@ -75,9 +75,9 @@ void answer_scrape(int fd, const std::atomic<bool>& stopping,
     return;
   }
   if (!obs::enabled()) {
-    // Explicit status instead of an empty page: with obs off (or the
-    // layer compiled out) there is nothing to expose, and a scraper
-    // should see that as a config problem, not an idle daemon.
+    // Explicit status instead of an empty page: with obs off there is
+    // nothing to expose, and a scraper should see that as a config
+    // problem, not an idle daemon.
     reply("501 Not Implemented", "text/plain; charset=utf-8",
           "observability disabled (run ocps serve, or set OCPS_OBS=1)\n");
     return;

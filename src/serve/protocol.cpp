@@ -379,7 +379,7 @@ std::string metrics_response(std::int64_t id, json::Value head,
   if (!obs::enabled())
     return error_response(
         id, kCodeObsDisabled,
-        "observability disabled (compiled out or OCPS_OBS unset)");
+        "observability disabled (OCPS_OBS unset)");
   refresh();
   std::ostringstream prom;
   obs::write_metrics_prometheus(prom);
@@ -404,8 +404,7 @@ std::unique_ptr<obs::SloTracker> make_slo_tracker(double p99_ms,
 }
 
 json::Value slo_json(obs::SloTracker& slo, const char* role) {
-  obs::SloTracker::Status status =
-      slo.status(obs::SloTracker::steady_now_ns());
+  obs::SloTracker::Status status = slo.status(obs::steady_now_ns());
   json::Value body;
   if (role) body.set("role", json::Value(role));
   body.set("configured", json::Value(slo.configured()));
@@ -439,8 +438,7 @@ json::Value slo_json(obs::SloTracker& slo, const char* role) {
 
 void publish_slo_gauges(obs::SloTracker& slo) {
   if (!slo.configured()) return;
-  obs::SloTracker::Status status =
-      slo.status(obs::SloTracker::steady_now_ns());
+  obs::SloTracker::Status status = slo.status(obs::steady_now_ns());
   for (const obs::SloTracker::Objective& o : status.objectives) {
     std::string base = "serve.slo." + o.name;
     obs::gauge(base + ".target").set(o.target);

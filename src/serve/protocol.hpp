@@ -69,7 +69,7 @@ inline constexpr int kCodeNotFound = 404;          ///< unknown program name
 inline constexpr int kCodeQueueFull = 429;         ///< admission shed
 inline constexpr int kCodeUnprocessable = 422;     ///< rejected reload
 inline constexpr int kCodeInternal = 500;          ///< unexpected failure
-inline constexpr int kCodeObsDisabled = 501;       ///< obs off / compiled out
+inline constexpr int kCodeObsDisabled = 501;       ///< obs off (OCPS_OBS unset)
 inline constexpr int kCodeBadGateway = 502;        ///< router: no backend answered
 inline constexpr int kCodeShuttingDown = 503;      ///< drain / overload / no backend up
 inline constexpr int kCodeDeadlineExceeded = 504;  ///< deadline passed

@@ -386,7 +386,7 @@ void Router::handle_line(const std::shared_ptr<Connection>& conn,
       return;
     case Op::kSlo:
       // The router's own tracker (fleet-level burn); answers even with
-      // obs compiled out.
+      // obs off.
       conn->send_line(ok_response(req.id, slo_json(*slo_, "router")));
       return;
     case Op::kDecisions:
@@ -460,8 +460,7 @@ void Router::forward(const std::shared_ptr<Connection>& conn,
   // The router's own SLO is judged on what the client experienced:
   // whole-walk latency, success = a definitive ok answer.
   auto finish = [&](bool ok) {
-    slo_->record(ms_since(fwd_start, Clock::now()), ok,
-                 obs::SloTracker::steady_now_ns());
+    slo_->record(ms_since(fwd_start, Clock::now()), ok, obs::steady_now_ns());
   };
 
   const std::vector<std::size_t> order = ring_->order_for(route_key(req));

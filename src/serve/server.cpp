@@ -277,7 +277,7 @@ Result<bool> Server::start() {
     obs::histogram("dp.prediction_error");
     obs::publish_decision_metrics(*decisions_, drift_.get(),
                                   &telemetry_->window_prediction_error,
-                                  obs::DecisionLog::steady_now_ns());
+                                  obs::steady_now_ns());
     if (slo_->configured()) refresh_latency_gauges();
   }
 
@@ -562,7 +562,7 @@ void Server::refresh_latency_gauges() {
   // recompute-per-scrape contract as the quantile gauges above.
   obs::publish_decision_metrics(*decisions_, drift_.get(),
                                 &telemetry_->window_prediction_error,
-                                obs::DecisionLog::steady_now_ns());
+                                obs::steady_now_ns());
 }
 
 void Server::handle_metrics(const std::shared_ptr<Connection>& conn,
@@ -611,7 +611,7 @@ void Server::handle_trace(const std::shared_ptr<Connection>& conn,
   if (!obs::enabled()) {
     conn->send_line(error_response(
         req.id, kCodeObsDisabled,
-        "observability disabled (compiled out or OCPS_OBS unset)"));
+        "observability disabled (OCPS_OBS unset)"));
     return;
   }
   json::Value body;
@@ -625,14 +625,14 @@ void Server::handle_trace(const std::shared_ptr<Connection>& conn,
 void Server::handle_slo(const std::shared_ptr<Connection>& conn,
                         const Request& req) {
   // Like slowlog, the SLO engine is server-owned state independent of
-  // the obs registry: it answers even with obs compiled out.
+  // the obs registry: it answers even with obs off.
   conn->send_line(ok_response(req.id, slo_json(*slo_)));
 }
 
 void Server::handle_decisions(const std::shared_ptr<Connection>& conn,
                               const Request& req) {
   // Like slo/slowlog, the decision log is server-owned state independent
-  // of the obs registry: it answers even with obs off or compiled out.
+  // of the obs registry: it answers even with obs off.
   json::Value body;
   if (req.decision_id != 0) {
     obs::DecisionRecord rec;
@@ -663,7 +663,7 @@ void Server::handle_decisions(const std::shared_ptr<Connection>& conn,
 
 void Server::handle_reconcile(const std::shared_ptr<Connection>& conn,
                               const Request& req) {
-  const std::uint64_t now = obs::DecisionLog::steady_now_ns();
+  const std::uint64_t now = obs::steady_now_ns();
   obs::DecisionRecord rec;
   switch (decisions_->reconcile(req.decision_id, req.realized,
                                 /*partial=*/false, now, &rec)) {
@@ -872,7 +872,7 @@ void Server::answer_partition(
   // model changed under the clients. Realized ratios arrive later via
   // the `reconcile` op.
   obs::DecisionRecord decision;
-  decision.at_ns = obs::DecisionLog::steady_now_ns();
+  decision.at_ns = obs::steady_now_ns();
   const std::uint64_t seen = last_decision_version_.exchange(set.version);
   decision.trigger = seen != set.version ? obs::DecisionTrigger::kReload
                                          : obs::DecisionTrigger::kRequest;
@@ -1037,9 +1037,9 @@ void Server::respond(Pending& p, const std::string& line, bool answered) {
     obs::note_exemplar("serve.request_latency", ms, p.req.trace_id);
   }
 
-  // SLO accounting is obs-independent (the tracker carries its own
-  // clock) so burn rates keep working in an OCPS_OBS_DISABLED build.
-  slo_->record(ms, answered, obs::SloTracker::steady_now_ns());
+  // SLO accounting is independent of the runtime flag, so burn rates
+  // keep working with obs off.
+  slo_->record(ms, answered, obs::steady_now_ns());
 
   Telemetry::SlowEntry entry;
   entry.trace_id = p.req.trace_id;

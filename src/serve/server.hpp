@@ -266,7 +266,7 @@ class Server {
 
   /// Burn-rate SLO evaluation (obs/slo.hpp); always constructed, inert
   /// when no objective is configured. Independent of the obs registry so
-  /// the `slo` op answers even in an OCPS_OBS_DISABLED build.
+  /// the `slo` op answers even with obs off.
   std::unique_ptr<obs::SloTracker> slo_;
 
   /// Decision audit trail + drift detector (obs/decision_log.hpp); like

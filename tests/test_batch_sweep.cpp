@@ -2,7 +2,7 @@
 // I-style synthetic suite (at reduced capacity so the test stays fast),
 // all six methods, must reproduce recorded bits under every kernel and
 // agree across thread counts, and the prefix-shared solver must share
-// the layers it should.
+// the layers it should and scan only the cells it should.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -11,6 +11,7 @@
 #include "combinatorics/enumerate.hpp"
 #include "core/batch_engine.hpp"
 #include "core/group_sweep.hpp"
+#include "obs/obs.hpp"
 #include "trace/generators.hpp"
 
 namespace ocps {
@@ -207,6 +208,34 @@ TEST(BatchSweep, PrefixSolverSharesLayersAcrossLexOrderedGroups) {
   EXPECT_EQ(stats.layers_computed, expected_layers);
   EXPECT_EQ(stats.layers_reused,
             groups.size() * 4 - expected_layers);
+}
+
+TEST(BatchSweep, SweepWorkMatchesRecordedCounts) {
+  // DP work is exact and host-independent, unlike the bench gate's
+  // timings: a sweep that stops sharing layers between groups, or whose
+  // layers scan past the feasible window, changes these counts on any
+  // host and under either kernel. One thread, because chunked
+  // scheduling splits the prefix runs and so changes what is shared.
+  const std::size_t capacity = 64;
+  auto models = make_suite(capacity);
+  auto groups = all_subsets(16, 4);
+  SweepOptions opt;
+  opt.capacity = capacity;
+  opt.threads = 1;
+
+  struct ObsOn {
+    ObsOn() {
+      obs::set_enabled(true);
+      obs::reset_metrics();
+    }
+    ~ObsOn() { obs::set_enabled(false); }
+  } obs_on;
+  auto sweep = sweep_groups(models, groups, opt);
+  ASSERT_EQ(sweep.size(), 1820u);
+
+  EXPECT_EQ(obs::counter("sweep.dp_layers_computed").value(), 5030u);
+  EXPECT_EQ(obs::counter("sweep.dp_layers_reused").value(), 9530u);
+  EXPECT_EQ(obs::counter("dp.cells").value(), 2672418u);
 }
 
 }  // namespace

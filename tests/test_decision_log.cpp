@@ -293,8 +293,6 @@ TEST(DriftDetectorTest, AlertAttributesWorstTenant) {
 
 // ------------------------------------------------------- registry helpers
 
-#ifndef OCPS_OBS_DISABLED
-
 class DecisionMetricsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -367,8 +365,6 @@ TEST_F(DecisionMetricsTest, BuildInfoIsAlwaysPresent) {
   obs::write_metrics_json(js);
   EXPECT_NE(js.str().find("\"build_info\""), std::string::npos);
 }
-
-#endif  // OCPS_OBS_DISABLED
 
 }  // namespace
 }  // namespace ocps

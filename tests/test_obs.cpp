@@ -24,8 +24,6 @@
 namespace ocps {
 namespace {
 
-#ifndef OCPS_OBS_DISABLED
-
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -830,13 +828,11 @@ TEST_F(ObsTest, TraceEventsForReturnsOnlyTaggedEvents) {
   EXPECT_TRUE(obs::trace_events_for(9999).empty());
 }
 
-#endif  // OCPS_OBS_DISABLED
-
 // ------------------------------------------------------------ SLO tracker
 //
-// The SloTracker is deliberately independent of the OCPS_OBS_DISABLED
-// switch (the `slo` op answers even in stripped builds), so these tests
-// run in both configurations. All clocks are synthetic.
+// The SloTracker is deliberately independent of the OCPS_OBS runtime
+// flag (the `slo` op answers with obs off), so these tests leave it
+// alone. All clocks are synthetic.
 
 namespace slo_test {
 constexpr std::uint64_t kSec = 1000000000ULL;

@@ -727,7 +727,6 @@ TEST_F(RouterTest, RouterAnswersHealthAndMetricsLocally) {
   Router router(cfg);
   ASSERT_TRUE(router.start().ok());
 
-#ifndef OCPS_OBS_DISABLED
   // Eager registration: the full serve.router.* surface exists before
   // any traffic, so the first scrape already carries every series.
   obs::MetricsSnapshot snap = obs::metrics_snapshot();
@@ -740,7 +739,6 @@ TEST_F(RouterTest, RouterAnswersHealthAndMetricsLocally) {
     for (const auto& [n, v] : snap.counters) found = found || n == name;
     EXPECT_TRUE(found) << name << " not registered at startup";
   }
-#endif
 
   Result<Client> client = Client::connect(cfg.socket_path);
   ASSERT_TRUE(client.ok());
@@ -758,7 +756,6 @@ TEST_F(RouterTest, RouterAnswersHealthAndMetricsLocally) {
            h.value().body.get_number("healthy", 0.0) == 2.0;
   })) << "prober never marked both backends up";
 
-#ifndef OCPS_OBS_DISABLED
   Result<Response> metrics = client.value().call(R"({"id":3,"op":"metrics"})");
   ASSERT_TRUE(metrics.ok());
   ASSERT_TRUE(metrics.value().ok) << metrics.value().error;
@@ -770,7 +767,6 @@ TEST_F(RouterTest, RouterAnswersHealthAndMetricsLocally) {
   const json::Value* gauges = m->find("gauges");
   ASSERT_NE(gauges, nullptr);
   EXPECT_NE(gauges->find("serve.fleet.requests"), nullptr);
-#endif
   router.stop();
 }
 
@@ -838,7 +834,6 @@ TEST_F(RouterTest, RouterDrainRefusesNewWork) {
 // Distributed tracing through the router, per-backend latency series, and
 // the router's own SLO engine.
 
-#ifndef OCPS_OBS_DISABLED
 TEST_F(RouterTest, RouterStampsTraceContextOnForwards) {
   obs::clear_trace_events();
   Fleet fleet(1, "trctx");
@@ -1041,7 +1036,6 @@ TEST_F(RouterTest, RouterRecordsPerBackendLatencySeries) {
       << "no backend's windowed p99 moved after 4 forwards";
   router.stop();
 }
-#endif  // OCPS_OBS_DISABLED
 
 TEST_F(RouterTest, RouterSloOpReportsFleetBurn) {
   Fleet fleet(1, "rslo");

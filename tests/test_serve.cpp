@@ -75,14 +75,12 @@ json::Value partition_request(std::int64_t id,
   return req;
 }
 
-#ifndef OCPS_OBS_DISABLED
 std::uint64_t obs_counter(const obs::MetricsSnapshot& snap,
                           const std::string& name) {
   for (const auto& [n, v] : snap.counters)
     if (n == name) return v;
   return 0;
 }
-#endif
 
 /// Minimal HTTP/1.1 GET against the daemon's loopback metrics listener;
 /// returns the whole response (status line + headers + body), or "" on
@@ -283,11 +281,9 @@ TEST_F(ServeTest, QueueFullShedsWith429) {
   EXPECT_EQ(c.shed, 1u);
   EXPECT_EQ(c.answered, 3u);  // ids 1, 2, 4
 
-#ifndef OCPS_OBS_DISABLED
   obs::MetricsSnapshot snap = obs::metrics_snapshot();
   EXPECT_EQ(obs_counter(snap, "serve.shed"), c.shed);
   EXPECT_EQ(obs_counter(snap, "serve.requests"), c.requests);
-#endif
 }
 
 TEST_F(ServeTest, DeadlineExceededGets504) {
@@ -325,10 +321,8 @@ TEST_F(ServeTest, DeadlineExceededGets504) {
   server.request_stop();
   server.stop();
   EXPECT_EQ(server.counters().deadline_exceeded, 1u);
-#ifndef OCPS_OBS_DISABLED
   obs::MetricsSnapshot snap = obs::metrics_snapshot();
   EXPECT_EQ(obs_counter(snap, "serve.deadline_exceeded"), 1u);
-#endif
 }
 
 TEST_F(ServeTest, SweepAnswersAndHonorsDeadline) {
@@ -473,7 +467,6 @@ TEST_F(ServeTest, DrainAnswersEveryAdmittedRequest) {
   EXPECT_EQ(c.shed, 0u);
   EXPECT_EQ(server.queue_depth(), 0u);
 
-#ifndef OCPS_OBS_DISABLED
   obs::MetricsSnapshot snap = obs::metrics_snapshot();
   EXPECT_EQ(obs_counter(snap, "serve.requests"), c.requests);
   EXPECT_EQ(obs_counter(snap, "serve.answered"), c.answered);
@@ -487,7 +480,6 @@ TEST_F(ServeTest, DrainAnswersEveryAdmittedRequest) {
       EXPECT_GE(total, 1u);
     }
   }
-#endif
 }
 
 TEST_F(ServeTest, GroupCommitCoalescesQueuedRequests) {
@@ -553,7 +545,6 @@ TEST_F(ServeTest, GroupCommitCoalescesQueuedRequests) {
   EXPECT_EQ(after.answered - before.answered,
             static_cast<std::uint64_t>(kRequests));
 
-#ifndef OCPS_OBS_DISABLED
   bool seen = false;
   for (const auto& h : obs::metrics_snapshot().histograms) {
     if (h.name != "serve.batch_size") continue;
@@ -561,7 +552,6 @@ TEST_F(ServeTest, GroupCommitCoalescesQueuedRequests) {
     EXPECT_EQ(h.sum, static_cast<double>(kRequests));
   }
   EXPECT_TRUE(seen);
-#endif
 
   server.request_stop();
   server.stop();
@@ -704,12 +694,6 @@ TEST_F(ServeTest, MetricsOpExposesRegistryAndPercentiles) {
                    "serve_request_latency_count 2") != std::string::npos;
       });
   ASSERT_TRUE(r.ok());
-#ifdef OCPS_OBS_DISABLED
-  // Compiled out, the op still answers the protocol — with the explicit
-  // "obs disabled" status, never a broken or empty response.
-  EXPECT_FALSE(r.value().ok);
-  EXPECT_EQ(r.value().code, kCodeObsDisabled);
-#else
   ASSERT_TRUE(r.value().ok) << r.value().error;
   EXPECT_EQ(r.value().id, 3);
   EXPECT_EQ(r.value().body.get_number("window_s", 0.0), 30.0);
@@ -751,7 +735,6 @@ TEST_F(ServeTest, MetricsOpExposesRegistryAndPercentiles) {
   EXPECT_FALSE(off.value().ok);
   EXPECT_EQ(off.value().code, kCodeObsDisabled);
   obs::set_enabled(true);
-#endif  // OCPS_OBS_DISABLED
 
   server.request_stop();
   server.stop();
@@ -829,7 +812,6 @@ TEST_F(ServeTest, TraceIdLinksSpansAcrossThreads) {
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.value().ok) << r.value().error;
 
-#ifndef OCPS_OBS_DISABLED
   // The solve span closes just after the reply is written; poll briefly.
   bool admit_seen = false, solve_seen = false;
   std::vector<std::uint32_t> tids;
@@ -852,7 +834,6 @@ TEST_F(ServeTest, TraceIdLinksSpansAcrossThreads) {
   ASSERT_GE(tids.size(), 2u);
   std::sort(tids.begin(), tids.end());
   EXPECT_NE(tids.front(), tids.back());
-#endif  // OCPS_OBS_DISABLED
 
   server.request_stop();
   server.stop();
@@ -875,10 +856,6 @@ TEST_F(ServeTest, HttpEndpointServesPrometheus) {
                   .ok());
 
   std::string resp = http_get(port, "/metrics");
-#ifdef OCPS_OBS_DISABLED
-  // Compiled out, the listener still binds and answers an explicit 501.
-  EXPECT_NE(resp.find("501 Not Implemented"), std::string::npos) << resp;
-#else
   // serve.request_latency sees the answer only after it is written (see
   // poll_until), so scrape until its first bucket shows, for at most 5 s.
   const auto give_up =
@@ -895,7 +872,6 @@ TEST_F(ServeTest, HttpEndpointServesPrometheus) {
   EXPECT_NE(resp.find("serve_request_latency_bucket{le=\""),
             std::string::npos);
   EXPECT_NE(resp.find("serve_request_latency_p50"), std::string::npos);
-#endif
 
   EXPECT_NE(http_get(port, "/nope").find("404 Not Found"),
             std::string::npos);
@@ -1197,12 +1173,6 @@ TEST_F(ServeTest, TraceOpReturnsRetainedSpansForId) {
   query.trace_id = 4242;
   Result<Response> r = client.value().call(encode_request(query));
   ASSERT_TRUE(r.ok());
-#ifdef OCPS_OBS_DISABLED
-  // Compiled out there are no retained spans; the op answers an explicit
-  // 501, mirroring `metrics`.
-  EXPECT_FALSE(r.value().ok);
-  EXPECT_EQ(r.value().code, kCodeObsDisabled);
-#else
   ASSERT_TRUE(r.value().ok) << r.value().error;
   EXPECT_EQ(r.value().body.get_number("trace_id", 0.0), 4242.0);
   const json::Value* procs = r.value().body.find("procs");
@@ -1239,7 +1209,6 @@ TEST_F(ServeTest, TraceOpReturnsRetainedSpansForId) {
   ASSERT_TRUE(off.ok());
   EXPECT_FALSE(off.value().ok);
   EXPECT_EQ(off.value().code, kCodeObsDisabled);
-#endif  // OCPS_OBS_DISABLED
 
   server.request_stop();
   server.stop();
@@ -1260,7 +1229,7 @@ TEST_F(ServeTest, SloOpReportsBurnRatesEvenWithObsOff) {
       client.value().call(partition_request(1, {"prog0", "prog1"})).ok());
 
   // The SLO engine is server-owned state, independent of the obs
-  // registry: it answers with obs off at runtime (and compiled out).
+  // registry: it answers with obs off.
   obs::set_enabled(false);
   Result<Response> r = client.value().call(R"({"id":2,"op":"slo"})");
   obs::set_enabled(true);
@@ -1310,7 +1279,6 @@ TEST_F(ServeTest, SloOpUnconfiguredSaysSo) {
   server.stop();
 }
 
-#ifndef OCPS_OBS_DISABLED
 TEST_F(ServeTest, MetricsExposeStageSeriesAndSloGauges) {
   ServeConfig config;
   config.socket_path = unique_socket_path("stagemetrics");
@@ -1375,7 +1343,6 @@ TEST_F(ServeTest, MetricsExposeStageSeriesAndSloGauges) {
   server.request_stop();
   server.stop();
 }
-#endif  // OCPS_OBS_DISABLED
 
 TEST_F(ServeTest, PartitionResponsesCarryDecisionIdsAndDecisionsOpListsThem) {
   ServeConfig config;

@@ -27,9 +27,9 @@ Absolute times move with the runner's CPU, so the gate also checks three
 machine-independent anchors measured within the same run:
 
 * the *ratio* of the one-thread 1820-group six-method sweep at C = 256 to
-  one unbounded 4-program DP solve at C = 1024 (baseline ≈ 300): the
+  one unbounded 4-program DP solve at C = 1024 (baseline ≈ 340): the
   sweep shares DP layers between groups with a common member prefix, and
-  losing that sharing raised the ratio by about 60%,
+  losing that sharing about doubles the ratio,
 * the *ratio* of the AVX2 forward-layer kernel to the scalar reference
   (baseline ≈ 12× faster: values-only layers in 16-state blocks), and
 * the *ratio* of a baseline-bounded solve (lower bounds summing to 0.92·C)
