@@ -18,7 +18,6 @@ int main() {
   // Profile at the finest capacity we sweep so every grain can be derived.
   const std::size_t cap_max = 2048;
   options.capacity = cap_max;
-  if (options.cache_dir.empty()) options.cache_dir = "./ocps_cache";
   Suite suite = build_spec2006_suite(options);
 
   auto groups = all_subsets(

@@ -65,11 +65,7 @@ struct SnapshotAtExit {
 
 }  // namespace
 
-Suite load_suite() {
-  SuiteOptions options = suite_options_from_env();
-  if (options.cache_dir.empty()) options.cache_dir = "./ocps_cache";
-  return build_spec2006_suite(options);
-}
+Suite load_suite() { return build_spec2006_suite(suite_options_from_env()); }
 
 Evaluation load_evaluation() {
   Evaluation eval;

@@ -237,7 +237,6 @@ void publish_decision_metrics(const DecisionLog& log,
   gauge("dp.decision.total").set(static_cast<double>(a.decisions_total));
   gauge("dp.decision.reconciled")
       .set(static_cast<double>(a.reconciled_total));
-  gauge("dp.decision.last_id").set(static_cast<double>(log.last_id()));
   gauge("dp.decision.mean_abs_error").set(a.mean_abs_error);
   gauge("dp.decision.max_abs_error").set(a.max_abs_error);
   gauge("dp.decision.bias").set(a.mean_signed_error);

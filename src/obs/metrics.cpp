@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -7,6 +8,7 @@
 
 #include "obs/obs.hpp"
 #include "util/config.hpp"
+#include "util/json.hpp"
 
 namespace ocps::obs {
 
@@ -105,6 +107,7 @@ struct Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters;
   std::map<std::string, std::unique_ptr<Gauge>> gauges;
   std::map<std::string, std::unique_ptr<Histogram>> histograms;
+  std::vector<CounterSet*> sets;  ///< live sets, merged on scrape
 };
 
 Registry& registry() {
@@ -135,30 +138,27 @@ T& find_or_create(std::map<std::string, std::unique_ptr<T>>& map,
   return *it->second;
 }
 
-// NaN/inf have no JSON spelling; emit null so the document stays valid.
-void write_json_double(std::ostream& os, double v) {
-  if (std::isfinite(v)) {
-    os << v;
-  } else {
-    os << "null";
-  }
-}
-
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) break;  // drop controls
-        os << c;
-    }
-  }
-}
-
 }  // namespace
+
+CounterSet::CounterSet(std::vector<std::string> names)
+    : names_(std::move(names)), values_(names_.size()) {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  for (const std::string& name : names_) find_or_create(r.counters, name);
+  r.sets.push_back(this);
+}
+
+CounterSet::~CounterSet() {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  r.sets.erase(std::find(r.sets.begin(), r.sets.end(), this));
+  for (std::size_t i = 0; i < names_.size(); ++i)
+    find_or_create(r.counters, names_[i]).add(value(i));
+}
+
+void CounterSet::reset() noexcept {
+  for (auto& v : values_) v.store(0, std::memory_order_relaxed);
+}
 
 Counter& counter(const std::string& name) {
   Registry& r = registry();
@@ -205,6 +205,11 @@ MetricsSnapshot metrics_snapshot() {
   MetricsSnapshot snap;
   for (const auto& [name, c] : r.counters)
     snap.counters.emplace_back(name, c->value());
+  for (const CounterSet* set : r.sets)
+    for (std::size_t i = 0; i < set->size(); ++i)
+      std::lower_bound(snap.counters.begin(), snap.counters.end(),
+                       std::make_pair(set->name(i), std::uint64_t{0}))
+          ->second += set->value(i);
   for (const auto& [name, g] : r.gauges)
     snap.gauges.emplace_back(name, g->value());
   for (const auto& [name, h] : r.histograms) {
@@ -225,6 +230,7 @@ void reset_metrics() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
   for (auto& [name, c] : r.counters) c->reset();
+  for (CounterSet* set : r.sets) set->reset();
   for (auto& [name, g] : r.gauges) g->reset();
   // In-place reset: cached references (OCPS_OBS_HIST) must stay valid.
   for (auto& [name, h] : r.histograms) h->reset();
@@ -233,51 +239,40 @@ void reset_metrics() {
   s.slots.clear();
 }
 
+// Numbers and names go through util/json's writer: a double prints as
+// the shortest text that reads back exactly (null for NaN/inf, which have
+// no JSON spelling), and counters as exact integers.
 void write_metrics_json(std::ostream& os) {
+  auto text = [](const json::Value& v) { return v.dump(); };
   MetricsSnapshot snap = metrics_snapshot();
   const BuildInfo build = build_info();
-  os << "{\"build_info\":{\"git_sha\":\"";
-  write_json_escaped(os, build.git_sha);
-  os << "\",\"compiler\":\"";
-  write_json_escaped(os, build.compiler);
-  os << "\",\"simd_kernel\":\"";
-  write_json_escaped(os, build.simd_kernel);
-  os << "\"},\"counters\":{";
+  os << "{\"build_info\":{\"git_sha\":" << text(build.git_sha)
+     << ",\"compiler\":" << text(build.compiler)
+     << ",\"simd_kernel\":" << text(build.simd_kernel) << "},\"counters\":{";
   bool first = true;
   for (const auto& [name, v] : snap.counters) {
-    if (!first) os << ',';
+    os << (first ? "" : ",") << text(name) << ':' << v;
     first = false;
-    os << '"';
-    write_json_escaped(os, name);
-    os << "\":" << v;
   }
   os << "},\"gauges\":{";
   first = true;
   for (const auto& [name, v] : snap.gauges) {
-    if (!first) os << ',';
+    os << (first ? "" : ",") << text(name) << ':' << text(v);
     first = false;
-    os << '"';
-    write_json_escaped(os, name);
-    os << "\":";
-    write_json_double(os, v);
   }
   os << "},\"histograms\":{";
   first = true;
   for (const auto& h : snap.histograms) {
-    if (!first) os << ',';
+    os << (first ? "" : ",") << text(h.name) << ":{\"count\":" << h.count
+       << ",\"sum\":" << text(h.sum) << ",\"buckets\":[";
     first = false;
-    os << '"';
-    write_json_escaped(os, h.name);
-    os << "\":{\"count\":" << h.count << ",\"sum\":";
-    write_json_double(os, h.sum);
-    os << ",\"buckets\":[";
     bool bfirst = true;
     for (const auto& [i, n] : h.buckets) {
-      if (!bfirst) os << ',';
+      os << (bfirst ? "" : ",")
+         << "{\"lo\":" << text(Histogram::bucket_lower_bound(i))
+         << ",\"hi\":" << text(Histogram::bucket_upper_bound(i))
+         << ",\"count\":" << n << '}';
       bfirst = false;
-      os << "{\"lo\":" << Histogram::bucket_lower_bound(i) << ",\"hi\":";
-      write_json_double(os, Histogram::bucket_upper_bound(i));
-      os << ",\"count\":" << n << '}';
     }
     os << "]";
     auto exemplars = exemplars_for(h.name);
@@ -285,12 +280,11 @@ void write_metrics_json(std::ostream& os) {
       os << ",\"exemplars\":[";
       bool efirst = true;
       for (const auto& [i, ex] : exemplars) {
-        if (!efirst) os << ',';
+        os << (efirst ? "" : ",")
+           << "{\"lo\":" << text(Histogram::bucket_lower_bound(i))
+           << ",\"trace_id\":" << ex.trace_id
+           << ",\"value\":" << text(ex.value) << '}';
         efirst = false;
-        os << "{\"lo\":" << Histogram::bucket_lower_bound(i)
-           << ",\"trace_id\":" << ex.trace_id << ",\"value\":";
-        write_json_double(os, ex.value);
-        os << '}';
       }
       os << "]";
     }

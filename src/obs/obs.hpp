@@ -139,6 +139,35 @@ class Counter {
   std::array<Shard, kCounterShards> shards_;
 };
 
+/// One owner's counters (a daemon's or a router's event counts), named at
+/// construction and counted whether or not obs is on: add() and value()
+/// are relaxed atomics on the set's own slots. While the set lives,
+/// metrics_snapshot() adds each slot into the process-wide counter of
+/// the same name, so every exporter shows it and two sets sharing a name
+/// export their sum; the destructor moves the slots into those counters,
+/// so process totals survive the owner. reset_metrics() zeroes live sets.
+class CounterSet {
+ public:
+  explicit CounterSet(std::vector<std::string> names);
+  ~CounterSet();
+  CounterSet(const CounterSet&) = delete;
+  CounterSet& operator=(const CounterSet&) = delete;
+
+  void add(std::size_t i, std::uint64_t n = 1) noexcept {
+    values_[i].fetch_add(n, std::memory_order_relaxed);
+  }
+  std::uint64_t value(std::size_t i) const noexcept {
+    return values_[i].load(std::memory_order_relaxed);
+  }
+  std::size_t size() const noexcept { return names_.size(); }
+  const std::string& name(std::size_t i) const { return names_[i]; }
+  void reset() noexcept;
+
+ private:
+  std::vector<std::string> names_;
+  std::vector<std::atomic<std::uint64_t>> values_;
+};
+
 /// Last-write-wins floating-point value.
 class Gauge {
  public:
@@ -236,10 +265,11 @@ Counter& counter(const std::string& name);
 Gauge& gauge(const std::string& name);
 Histogram& histogram(const std::string& name);
 
-/// Scrapes every metric (merging counter shards).
+/// Scrapes every metric (merging counter shards and live counter sets).
 MetricsSnapshot metrics_snapshot();
 
-/// Zeroes every registered metric (the registry keeps its entries).
+/// Zeroes every registered metric and live counter set (the registry
+/// keeps its entries).
 void reset_metrics();
 
 /// Writes the snapshot as one JSON object:

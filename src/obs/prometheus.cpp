@@ -8,13 +8,14 @@
 #include <ostream>
 
 #include "obs/obs.hpp"
+#include "util/json.hpp"
 
 namespace ocps::obs {
 
 namespace {
 
 // Prometheus metric names must match [a-zA-Z_:][a-zA-Z0-9_:]*; registry
-// names use dots (`serve.request_ns`), which become underscores.
+// names use dots (`serve.request_latency`), which become underscores.
 void write_prom_name(std::ostream& os, const std::string& name,
                      const char* suffix = nullptr) {
   for (std::size_t i = 0; i < name.size(); ++i) {
@@ -26,13 +27,15 @@ void write_prom_name(std::ostream& os, const std::string& name,
   if (suffix) os << suffix;
 }
 
+// Finite values print as util/json writes them: the shortest text that
+// reads back as the same double.
 void write_prom_double(std::ostream& os, double v) {
   if (std::isnan(v)) {
     os << "NaN";
   } else if (std::isinf(v)) {
     os << (v > 0 ? "+Inf" : "-Inf");
   } else {
-    os << v;
+    os << json::Value(v).dump();
   }
 }
 

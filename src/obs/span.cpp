@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "util/json.hpp"
 
 namespace ocps::obs {
 
@@ -134,16 +135,14 @@ SpanRing& this_thread_ring() {
   return *lease.ring;
 }
 
-void escape(std::ostream& os, const char* s) {
-  for (; *s; ++s) {
-    if (*s == '"' || *s == '\\') os << '\\';
-    os << *s;
-  }
-}
-
 }  // namespace
 
-std::uint64_t now_ns() { return steady_now_ns() - trace_epoch(); }
+std::uint64_t now_ns() {
+  // The epoch first: the first call sets it from the clock, and a clock
+  // read before that would precede the epoch and wrap.
+  const std::uint64_t epoch = trace_epoch();
+  return steady_now_ns() - epoch;
+}
 
 ScopedSpan::ScopedSpan(const char* name, const char* cat) noexcept {
   if (!enabled()) return;
@@ -227,24 +226,22 @@ void clear_trace_events() {
   for (const auto& r : rings) r->clear();
 }
 
+// Names and numbers go through util/json's writer, so a timestamp keeps
+// every digit: `ts` is ts_ns / 1000 exactly, not six significant digits.
 void write_chrome_trace(std::ostream& os) {
-  std::vector<TraceEvent> events = trace_events();
+  auto text = [](const json::Value& v) { return v.dump(); };
   os << "{\"traceEvents\":[";
   bool first = true;
-  for (const TraceEvent& e : events) {
-    if (!first) os << ',';
+  for (const TraceEvent& e : trace_events()) {
+    os << (first ? "" : ",") << "{\"name\":" << text(e.name)
+       << ",\"cat\":" << text(e.cat ? e.cat : "ocps") << ",\"ph\":\""
+       << (e.instant ? 'i' : 'X') << "\",\"pid\":1,\"tid\":" << e.tid
+       << ",\"ts\":" << text(static_cast<double>(e.ts_ns) / 1000.0);
     first = false;
-    os << "{\"name\":\"";
-    escape(os, e.name);
-    os << "\",\"cat\":\"";
-    escape(os, e.cat ? e.cat : "ocps");
-    os << "\",\"ph\":\"" << (e.instant ? 'i' : 'X') << "\",\"pid\":1"
-       << ",\"tid\":" << e.tid << ",\"ts\":"
-       << static_cast<double>(e.ts_ns) / 1000.0;
     if (e.instant) {
       os << ",\"s\":\"t\"";
     } else {
-      os << ",\"dur\":" << static_cast<double>(e.dur_ns) / 1000.0;
+      os << ",\"dur\":" << text(static_cast<double>(e.dur_ns) / 1000.0);
     }
     if (e.trace_id != 0) {
       // Legacy flow-event linkage: viewers draw one connected tree for
@@ -254,17 +251,9 @@ void write_chrome_trace(std::ostream& os) {
     }
     if (e.arg_name || e.trace_id != 0) {
       os << ",\"args\":{";
-      bool afirst = true;
-      if (e.arg_name) {
-        os << '"';
-        escape(os, e.arg_name);
-        os << "\":" << e.arg;
-        afirst = false;
-      }
-      if (e.trace_id != 0) {
-        if (!afirst) os << ',';
-        os << "\"trace_id\":" << e.trace_id;
-      }
+      if (e.arg_name) os << text(e.arg_name) << ':' << e.arg;
+      if (e.arg_name && e.trace_id != 0) os << ',';
+      if (e.trace_id != 0) os << "\"trace_id\":" << e.trace_id;
       os << '}';
     }
     os << '}';

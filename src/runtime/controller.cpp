@@ -382,7 +382,6 @@ ControllerResult run_online_controller(const InterleavedTrace& trace,
       rec.note = std::move(decision_note);
       pending_decision =
           out.decisions->record(std::move(rec), obs::steady_now_ns());
-      OCPS_OBS_COUNT("dp.decisions", 1);
     }
     obs::publish_decision_metrics(*out.decisions, &drift, &error_window,
                                   obs::steady_now_ns());

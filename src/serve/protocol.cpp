@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "obs/obs.hpp"
@@ -44,15 +45,27 @@ Result<std::vector<std::string>> string_list(const json::Value& obj,
   return Ok(std::move(out));
 }
 
+// 2^53: the parser may already have rounded an integer this large.
+constexpr double kExactLimit = 9007199254740992.0;
+
 Result<std::size_t> size_field(const json::Value& obj, std::string_view key,
                                std::size_t fallback) {
   const json::Value* v = obj.find(key);
   if (!v) return Ok(std::move(fallback));
   if (!v->is_number() || v->as_number() < 0 ||
+      v->as_number() >= kExactLimit ||
       v->as_number() != std::floor(v->as_number()))
     return Err(ErrorCode::kInvalidArgument,
-               std::string(key) + " must be a non-negative integer");
+               std::string(key) + " must be an integer in [0, 2^53)");
   return Ok(static_cast<std::size_t>(v->as_number()));
+}
+
+// The id of a request or response, exact or refused.
+Result<std::int64_t> id_field(const json::Value& obj) {
+  const double id = obj.get_number("id", 0.0);
+  if (!(std::fabs(id) < kExactLimit))
+    return Err(ErrorCode::kInvalidArgument, "|id| must be below 2^53");
+  return Ok(static_cast<std::int64_t>(id));
 }
 
 }  // namespace
@@ -65,8 +78,9 @@ Result<Request> parse_request(const std::string& line) {
     return Err(ErrorCode::kInvalidArgument, "request must be a JSON object");
 
   Request req;
-  double id = obj.get_number("id", 0.0);
-  req.id = static_cast<std::int64_t>(id);
+  auto id = id_field(obj);
+  if (!id.ok()) return id.error();
+  req.id = id.value();
 
   std::string op = obj.get_string("op", "");
   if (op == "partition") req.op = Op::kPartition;
@@ -367,11 +381,23 @@ Result<Response> parse_response(const std::string& line) {
     return Err(ErrorCode::kCorruptData, "response must be a JSON object");
   Response r;
   r.body = std::move(parsed.value());
-  r.id = static_cast<std::int64_t>(r.body.get_number("id", 0.0));
+  auto id = id_field(r.body);
+  const double code = r.body.get_number("code", 0.0);
+  if (!id.ok() || !(std::fabs(code) <= std::numeric_limits<int>::max()))
+    return Err(ErrorCode::kCorruptData, "response id or code out of range");
+  r.id = id.value();
   r.ok = r.body.get_bool("ok", false);
-  r.code = static_cast<int>(r.body.get_number("code", 0.0));
+  r.code = static_cast<int>(code);
   r.error = r.body.get_string("error", "");
   return Ok(std::move(r));
+}
+
+json::Value counters_json(const obs::CounterSet& set) {
+  json::Value out;
+  for (std::size_t i = 0; i < set.size(); ++i)
+    out.set(set.name(i).substr(set.name(i).rfind('.') + 1),
+            json::Value(static_cast<double>(set.value(i))));
+  return out;
 }
 
 std::string metrics_response(std::int64_t id, json::Value head,

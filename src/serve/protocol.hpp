@@ -32,6 +32,9 @@
 //
 // Responses: {"id":1,"ok":true,...} or
 //   {"id":1,"ok":false,"code":429,"error":"queue full"}.
+// JSON numbers are doubles, so integers are exact only below 2^53: a
+// request with an integer field at or above 2^53, or an id outside
+// (-2^53, 2^53), is refused with 400, and such a response id is malformed.
 #pragma once
 
 #include <cstdint>
@@ -129,8 +132,13 @@ struct Response {
   json::Value body;       ///< the whole response object
 };
 
-/// Decodes one response line.
+/// Decodes one response line; kCorruptData when the id or code is out
+/// of range.
 Result<Response> parse_response(const std::string& line);
+
+/// The "counters" object of a `health` answer: each count of `set` keyed
+/// by the last component of its name (serve.requests → "requests").
+json::Value counters_json(const obs::CounterSet& set);
 
 /// One process's contribution to a `trace` response: its retained spans
 /// for `trace_id` plus the clock anchors a stitcher needs to place them

@@ -2,7 +2,7 @@
 //
 //   front end     --> one reader thread per client connection
 //                       (parses, routes, forwards synchronously)
-//   health thread --> scrapes every backend's `metrics` op on a fixed
+//   health thread --> asks every backend for `health` on a fixed
 //                     interval, feeding the circuit breakers + fleet
 //                     gauges
 //
@@ -10,7 +10,7 @@
 // is one lane, and a slow backend delays only the clients routed to it.
 // Each connection's line handler owns its backend Client set (Lanes), so
 // no connection state is shared across reader threads; the shared state
-// (breakers, counters, fleet gauges) is mutex- or atomic-guarded.
+// (breakers, the counter set, fleet gauges) is mutex- or atomic-guarded.
 
 #include "serve/router.hpp"
 
@@ -39,6 +39,12 @@ std::chrono::milliseconds clamp_left(Clock::time_point deadline,
       std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
   return std::max(std::chrono::milliseconds(1), left);
 }
+
+// The router's counter set, in Router::Counters and `health` order.
+enum Count : std::size_t {
+  kRequests, kForwarded, kFailovers, kRelayedErrors, kNoBackend, kAllOpen,
+  kMalformed, kReloads, kDeadlineExceeded, kHealthProbes, kHealthFailures
+};
 
 }  // namespace
 
@@ -181,20 +187,6 @@ const char* CircuitBreaker::state_name(State s) {
 // ---------------------------------------------------------------------------
 // Router plumbing types.
 
-struct Router::AtomicCounters {
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> forwarded{0};
-  std::atomic<std::uint64_t> failovers{0};
-  std::atomic<std::uint64_t> relayed_errors{0};
-  std::atomic<std::uint64_t> no_backend{0};
-  std::atomic<std::uint64_t> all_open{0};
-  std::atomic<std::uint64_t> malformed{0};
-  std::atomic<std::uint64_t> reloads{0};
-  std::atomic<std::uint64_t> deadline_exceeded{0};
-  std::atomic<std::uint64_t> health_probes{0};
-  std::atomic<std::uint64_t> health_failures{0};
-};
-
 struct Router::Backend {
   std::string endpoint;
   CircuitBreaker breaker;
@@ -206,8 +198,8 @@ struct Router::Backend {
   /// serve.router.backend_latency.<i>.window.p99 gauge.
   obs::WindowedHistogram latency_window;
 
-  /// Last ingested backend counters (health thread writes, gauge
-  /// refresh reads).
+  /// The backend's counters from its last `health` answer (health thread
+  /// writes, gauge refresh reads).
   std::mutex fleet_mu;
   double fleet_requests = 0.0;
   double fleet_answered = 0.0;
@@ -223,7 +215,12 @@ struct Router::Backend {
 
 Router::Router(RouterConfig config)
     : config_(std::move(config)),
-      counters_(std::make_unique<AtomicCounters>()),
+      counts_({"serve.router.requests", "serve.router.forwarded",
+               "serve.router.failovers", "serve.router.relayed_errors",
+               "serve.router.no_backend", "serve.router.all_open",
+               "serve.router.malformed", "serve.router.reloads",
+               "serve.router.deadline_exceeded", "serve.router.health_probes",
+               "serve.router.health_failures"}),
       frontend_(
           config_, "serve.router.conn_limit_rejected",
           {[this] {
@@ -235,10 +232,7 @@ Router::Router(RouterConfig config)
                handle_line(conn, line, *lanes);
              };
            },
-           [this] {
-             counters_->malformed.fetch_add(1);
-             OCPS_OBS_COUNT("serve.router.malformed", 1);
-           },
+           [this] { counts_.add(kMalformed); },
            [this] { refresh_gauges(); }}) {
   OCPS_CHECK(!config_.backends.empty(),
              "router: at least one backend endpoint is required");
@@ -265,16 +259,10 @@ Result<bool> Router::start() {
   // first Prometheus scrape must expose the complete serve.router.*
   // series, zero-valued, before any traffic or fault has occurred —
   // dashboards and alert rules need the series to exist to match on it.
+  // The counter set exports from construction; the front end counts
+  // connection-limit refusals in the registry.
   if (obs::enabled()) {
-    static const char* kCounters[] = {
-        "serve.router.requests",        "serve.router.forwarded",
-        "serve.router.failovers",       "serve.router.relayed_errors",
-        "serve.router.no_backend",      "serve.router.all_open",
-        "serve.router.malformed",       "serve.router.reloads",
-        "serve.router.deadline_exceeded", "serve.router.health_probes",
-        "serve.router.health_failures", "serve.router.conn_limit_rejected",
-    };
-    for (const char* name : kCounters) obs::counter(name);
+    obs::counter("serve.router.conn_limit_rejected");
     obs::gauge("serve.router.backends")
         .set(static_cast<double>(backends_.size()));
     obs::gauge("serve.router.backends_healthy").set(0.0);
@@ -315,19 +303,10 @@ CircuitBreaker::State Router::breaker_state(std::size_t i) const {
 }
 
 Router::Counters Router::counters() const {
-  Counters c;
-  c.requests = counters_->requests.load();
-  c.forwarded = counters_->forwarded.load();
-  c.failovers = counters_->failovers.load();
-  c.relayed_errors = counters_->relayed_errors.load();
-  c.no_backend = counters_->no_backend.load();
-  c.all_open = counters_->all_open.load();
-  c.malformed = counters_->malformed.load();
-  c.reloads = counters_->reloads.load();
-  c.deadline_exceeded = counters_->deadline_exceeded.load();
-  c.health_probes = counters_->health_probes.load();
-  c.health_failures = counters_->health_failures.load();
-  return c;
+  auto v = [this](Count i) { return counts_.value(i); };
+  return {v(kRequests),  v(kForwarded), v(kFailovers), v(kRelayedErrors),
+          v(kNoBackend),  v(kAllOpen),   v(kMalformed), v(kReloads),
+          v(kDeadlineExceeded), v(kHealthProbes), v(kHealthFailures)};
 }
 
 // ---------------------------------------------------------------------------
@@ -353,13 +332,11 @@ std::string Router::route_key(const Request& req) {
 
 void Router::handle_line(const std::shared_ptr<Connection>& conn,
                          const std::string& line, Lanes& lanes) {
-  counters_->requests.fetch_add(1);
-  OCPS_OBS_COUNT("serve.router.requests", 1);
+  counts_.add(kRequests);
 
   Result<Request> parsed = parse_request(line);
   if (!parsed.ok()) {
-    counters_->malformed.fetch_add(1);
-    OCPS_OBS_COUNT("serve.router.malformed", 1);
+    counts_.add(kMalformed);
     conn->send_line(
         error_response(0, kCodeBadRequest, parsed.error().message));
     return;
@@ -412,7 +389,8 @@ void Router::handle_line(const std::shared_ptr<Connection>& conn,
 std::uint64_t Router::next_trace_nonce() {
   std::uint64_t state =
       trace_seed_ + trace_counter_.fetch_add(1, std::memory_order_relaxed);
-  return splitmix64(state) | 1ULL;
+  // Odd and below 2^53, so the id survives the wire's doubles exactly.
+  return (splitmix64(state) >> 11) | 1ULL;
 }
 
 void Router::record_backend_latency(std::size_t idx, double ms) {
@@ -485,8 +463,7 @@ void Router::forward(const std::shared_ptr<Connection>& conn,
   for (std::size_t idx : order) {
     Clock::time_point now = Clock::now();
     if (now >= deadline) {
-      counters_->deadline_exceeded.fetch_add(1);
-      OCPS_OBS_COUNT("serve.router.deadline_exceeded", 1);
+      counts_.add(kDeadlineExceeded);
       conn->send_line(error_response(req.id, kCodeDeadlineExceeded,
                                      "deadline exceeded while forwarding"));
       finish(false);
@@ -507,8 +484,7 @@ void Router::forward(const std::shared_ptr<Connection>& conn,
     if (!r.ok()) {
       // Transport failure (connect or call): fail over.
       b.breaker.record_failure(Clock::now());
-      counters_->failovers.fetch_add(1);
-      OCPS_OBS_COUNT("serve.router.failovers", 1);
+      counts_.add(kFailovers);
       obs::instant_event("serve.router.failover", "router", "backend",
                          static_cast<std::uint64_t>(idx), trace_id);
       continue;
@@ -517,12 +493,8 @@ void Router::forward(const std::shared_ptr<Connection>& conn,
     if (resp.ok || !retryable_code(resp.code)) {
       // Definitive: relay verbatim (the backend echoed the client's id).
       b.breaker.record_success(Clock::now());
-      if (!resp.ok) {
-        counters_->relayed_errors.fetch_add(1);
-        OCPS_OBS_COUNT("serve.router.relayed_errors", 1);
-      }
-      counters_->forwarded.fetch_add(1);
-      OCPS_OBS_COUNT("serve.router.forwarded", 1);
+      if (!resp.ok) counts_.add(kRelayedErrors);
+      counts_.add(kForwarded);
       conn->send_line(resp.body.dump());
       finish(resp.ok);
       return;
@@ -536,8 +508,7 @@ void Router::forward(const std::shared_ptr<Connection>& conn,
       b.breaker.record_failure(Clock::now());
     have_relay = true;
     relay = std::move(resp);
-    counters_->failovers.fetch_add(1);
-    OCPS_OBS_COUNT("serve.router.failovers", 1);
+    counts_.add(kFailovers);
     obs::instant_event("serve.router.failover", "router", "backend",
                        static_cast<std::uint64_t>(idx), trace_id);
   }
@@ -546,23 +517,20 @@ void Router::forward(const std::shared_ptr<Connection>& conn,
     // Every replica answered with a retryable status (e.g. the whole
     // fleet is shedding): the last one is the truth — relay it so the
     // client sees an honest 429/503/504 it can back off on.
-    counters_->relayed_errors.fetch_add(1);
-    OCPS_OBS_COUNT("serve.router.relayed_errors", 1);
+    counts_.add(kRelayedErrors);
     conn->send_line(relay.body.dump());
     finish(false);
     return;
   }
   if (!any_allowed) {
-    counters_->all_open.fetch_add(1);
-    OCPS_OBS_COUNT("serve.router.all_open", 1);
+    counts_.add(kAllOpen);
     conn->send_line(error_response(
         req.id, kCodeShuttingDown,
         "no backend available (all circuit breakers open)"));
     finish(false);
     return;
   }
-  counters_->no_backend.fetch_add(1);
-  OCPS_OBS_COUNT("serve.router.no_backend", 1);
+  counts_.add(kNoBackend);
   conn->send_line(
       error_response(req.id, kCodeBadGateway, "no backend answered"));
   finish(false);
@@ -575,8 +543,7 @@ void Router::fan_out_reload(const std::shared_ptr<Connection>& conn,
   // backend that is actually alive must not come back serving a stale
   // profile set. Never retried — a lost response may mean the swap
   // already happened on that backend.
-  counters_->reloads.fetch_add(1);
-  OCPS_OBS_COUNT("serve.router.reloads", 1);
+  counts_.add(kReloads);
   std::size_t ok_count = 0;
   std::string first_error;
   for (std::size_t idx = 0; idx < backends_.size(); ++idx) {
@@ -629,24 +596,7 @@ void Router::handle_health_local(const std::shared_ptr<Connection>& conn,
   }
   body.set("backends", json::Value(std::move(rows)));
   body.set("healthy", json::Value(static_cast<double>(healthy)));
-  Counters c = counters();
-  json::Value cnt;
-  cnt.set("requests", json::Value(static_cast<double>(c.requests)));
-  cnt.set("forwarded", json::Value(static_cast<double>(c.forwarded)));
-  cnt.set("failovers", json::Value(static_cast<double>(c.failovers)));
-  cnt.set("relayed_errors",
-          json::Value(static_cast<double>(c.relayed_errors)));
-  cnt.set("no_backend", json::Value(static_cast<double>(c.no_backend)));
-  cnt.set("all_open", json::Value(static_cast<double>(c.all_open)));
-  cnt.set("malformed", json::Value(static_cast<double>(c.malformed)));
-  cnt.set("reloads", json::Value(static_cast<double>(c.reloads)));
-  cnt.set("deadline_exceeded",
-          json::Value(static_cast<double>(c.deadline_exceeded)));
-  cnt.set("health_probes",
-          json::Value(static_cast<double>(c.health_probes)));
-  cnt.set("health_failures",
-          json::Value(static_cast<double>(c.health_failures)));
-  body.set("counters", std::move(cnt));
+  body.set("counters", counters_json(counts_));
   conn->send_line(ok_response(req.id, std::move(body)));
 }
 
@@ -758,7 +708,7 @@ void Router::handle_reconcile_local(const std::shared_ptr<Connection>& conn,
 void Router::health_loop() {
   Request probe;
   probe.id = -1;
-  probe.op = Op::kMetrics;
+  probe.op = Op::kHealth;
   const std::string probe_line = encode_request(probe);
 
   while (!stop_requested()) {
@@ -770,35 +720,31 @@ void Router::health_loop() {
       // is open and cooled down, this probe is exactly the canary the
       // state machine wants. While it is open and cooling, skip.
       if (!b.breaker.allow(now)) continue;
-      counters_->health_probes.fetch_add(1);
-      OCPS_OBS_COUNT("serve.router.health_probes", 1);
+      counts_.add(kHealthProbes);
 
+      // `health` carries this backend's own counter set, whether or not
+      // obs is on there; a `metrics` scrape would carry its process's.
       Result<Response> r =
           call_backend(b.probe_client, i, probe_line, config_.io_timeout);
-      // 501 = obs off on the backend: alive, just not scrapeable.
-      const bool okay =
-          r.ok() && (r.value().ok || r.value().code == kCodeObsDisabled);
-      const json::Value* metrics =
-          okay ? r.value().body.find("metrics") : nullptr;
+      const bool okay = r.ok() && r.value().ok;
       const json::Value* counters =
-          metrics ? metrics->find("counters") : nullptr;
+          okay ? r.value().body.find("counters") : nullptr;
       if (counters) {
         auto pick = [&](const char* name) {
           const json::Value* v = counters->find(name);
           return v && v->is_number() ? v->as_number() : 0.0;
         };
         std::lock_guard<std::mutex> lock(b.fleet_mu);
-        b.fleet_requests = pick("serve.requests");
-        b.fleet_answered = pick("serve.answered");
-        b.fleet_shed = pick("serve.shed");
-        b.fleet_deadline = pick("serve.deadline_exceeded");
+        b.fleet_requests = pick("requests");
+        b.fleet_answered = pick("answered");
+        b.fleet_shed = pick("shed");
+        b.fleet_deadline = pick("deadline_exceeded");
       }
       if (okay) {
         b.breaker.record_success(Clock::now());
       } else {
         b.breaker.record_failure(Clock::now());
-        counters_->health_failures.fetch_add(1);
-        OCPS_OBS_COUNT("serve.router.health_failures", 1);
+        counts_.add(kHealthFailures);
       }
       b.up.store(okay);
     }

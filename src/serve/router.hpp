@@ -13,7 +13,7 @@
 //     request's profile-set id (its sorted program list), so a tenant's
 //     queries keep landing on the same backend (warm DP prefix state)
 //     and adding a backend only remaps ~1/N of the key space.
-//   * Health: a prober thread scrapes every backend's `metrics` op on a
+//   * Health: a prober thread asks every backend for `health` on a
 //     fixed interval, feeding the same per-backend circuit breaker the
 //     request path uses — a dead backend is ejected within a few probe
 //     intervals even with zero traffic.
@@ -30,10 +30,11 @@
 //     response may mean the swap already happened) and succeeds only if
 //     the whole fleet succeeded.
 //   * `health` and `metrics` are answered by the router itself:
-//     router-level health lists per-backend breaker state, and the
-//     metrics registry carries `serve.router.*` counters, per-backend
-//     `serve.router.backend_latency.<i>` histograms, and
-//     `serve.fleet.*` aggregates ingested from backend scrapes. The
+//     router-level health lists per-backend breaker state and the
+//     router's counter set (the `serve.router.*` counters, which count
+//     with obs off too), and the metrics registry carries that set,
+//     per-backend `serve.router.backend_latency.<i>` histograms, and
+//     `serve.fleet.*` sums of the backends' own `health` counters. The
 //     optional loopback HTTP listener exposes the same registry to
 //     Prometheus (the front end's responder, shared with the daemon).
 //   * Tracing: every forwarded request carries a trace context —
@@ -193,6 +194,7 @@ class Router {
   /// Breaker state of backend `i` (for tests and `health`).
   CircuitBreaker::State breaker_state(std::size_t i) const;
 
+  /// A copy of the router's counter set.
   struct Counters {
     std::uint64_t requests = 0;        ///< lines received on the front
     std::uint64_t forwarded = 0;       ///< answered from a backend
@@ -269,8 +271,7 @@ class Router {
 
   std::chrono::steady_clock::time_point started_at_;
 
-  struct AtomicCounters;
-  std::unique_ptr<AtomicCounters> counters_;
+  obs::CounterSet counts_;  ///< indexed by router.cpp's Count
 
   /// Fleet SLO tracker, fed by forward() outcomes (always constructed;
   /// objectives may be unset). Lives behind a pointer so the header
@@ -279,7 +280,8 @@ class Router {
 
   /// Nonce stream for minted trace ids and forward-span ids: a counter
   /// whitened through splitmix64 and seeded with the construction time,
-  /// so two routers do not mint colliding ids.
+  /// so two routers do not mint colliding ids. Nonces stay below 2^53,
+  /// the largest integer the wire carries exactly.
   std::uint64_t trace_seed_ = 0;
   std::atomic<std::uint64_t> trace_counter_{0};
 

@@ -45,6 +45,12 @@ constexpr std::size_t kStageCount = 4;
 constexpr const char* kStageNames[kStageCount] = {"queue_wait", "solve",
                                                   "serialize", "network"};
 
+// The daemon's counter set, in Server::Counters and `health` order.
+enum Count : std::size_t {
+  kRequests, kAnswered, kShed, kDeadlineExceeded, kMalformed, kBatches,
+  kReloads, kReloadRejected
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -88,17 +94,6 @@ Result<ProgramModel> load_profile(const std::string& path,
 
 // ---------------------------------------------------------------------------
 // Server plumbing types.
-
-struct Server::AtomicCounters {
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> answered{0};
-  std::atomic<std::uint64_t> shed{0};
-  std::atomic<std::uint64_t> deadline_exceeded{0};
-  std::atomic<std::uint64_t> malformed{0};
-  std::atomic<std::uint64_t> batches{0};
-  std::atomic<std::uint64_t> reloads{0};
-  std::atomic<std::uint64_t> reload_rejected{0};
-};
 
 // Daemon-side telemetry that is not a plain registry metric: the sliding
 // latency window behind the `serve.request_latency.window.*` gauges and
@@ -220,7 +215,9 @@ struct Server::SolverState {
 
 Server::Server(ServeConfig config, std::vector<ProgramModel> models)
     : config_(std::move(config)),
-      counters_(std::make_unique<AtomicCounters>()),
+      counts_({"serve.requests", "serve.answered", "serve.shed",
+               "serve.deadline_exceeded", "serve.malformed", "serve.batches",
+               "serve.reloads", "serve.reload_rejected"}),
       frontend_(
           config_, "serve.conn_limit_rejected",
           {[this] {
@@ -229,10 +226,7 @@ Server::Server(ServeConfig config, std::vector<ProgramModel> models)
                handle_line(conn, line);
              };
            },
-           [this] {
-             counters_->malformed.fetch_add(1);
-             OCPS_OBS_COUNT("serve.malformed", 1);
-           },
+           [this] { counts_.add(kMalformed); },
            [this] { refresh_latency_gauges(); }}) {
   OCPS_CHECK(config_.capacity > 0, "serve: capacity must be positive");
   OCPS_CHECK(config_.max_batch > 0, "serve: max_batch must be positive");
@@ -312,16 +306,9 @@ std::uint64_t Server::profile_version() const {
 }
 
 Server::Counters Server::counters() const {
-  Counters c;
-  c.requests = counters_->requests.load();
-  c.answered = counters_->answered.load();
-  c.shed = counters_->shed.load();
-  c.deadline_exceeded = counters_->deadline_exceeded.load();
-  c.malformed = counters_->malformed.load();
-  c.batches = counters_->batches.load();
-  c.reloads = counters_->reloads.load();
-  c.reload_rejected = counters_->reload_rejected.load();
-  return c;
+  auto v = [this](Count i) { return counts_.value(i); };
+  return {v(kRequests), v(kAnswered), v(kShed), v(kDeadlineExceeded),
+          v(kMalformed), v(kBatches), v(kReloads), v(kReloadRejected)};
 }
 
 std::shared_ptr<const ProfileSet> Server::profiles() const {
@@ -334,8 +321,7 @@ std::shared_ptr<const ProfileSet> Server::profiles() const {
 
 void Server::handle_line(const std::shared_ptr<Connection>& conn,
                          const std::string& line) {
-  counters_->requests.fetch_add(1);
-  OCPS_OBS_COUNT("serve.requests", 1);
+  counts_.add(kRequests);
 
   // Admission span on the reader thread; tagged with the client's
   // trace_id so the export links it to the solve span on the batching
@@ -344,8 +330,7 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
 
   Result<Request> parsed = parse_request(line);
   if (!parsed.ok()) {
-    counters_->malformed.fetch_add(1);
-    OCPS_OBS_COUNT("serve.malformed", 1);
+    counts_.add(kMalformed);
     conn->send_line(
         error_response(0, kCodeBadRequest, parsed.error().message));
     return;
@@ -361,8 +346,7 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
                        req.trace_id);
 
   if (req.capacity > config_.capacity) {
-    counters_->malformed.fetch_add(1);
-    OCPS_OBS_COUNT("serve.malformed", 1);
+    counts_.add(kMalformed);
     conn->send_line(error_response(
         req.id, kCodeBadRequest,
         "capacity " + std::to_string(req.capacity) +
@@ -432,8 +416,7 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
   if (admitted) {
     queue_cv_.notify_all();
   } else {
-    counters_->shed.fetch_add(1);
-    OCPS_OBS_COUNT("serve.shed", 1);
+    counts_.add(kShed);
     conn->send_line(error_response(p.req.id, kCodeQueueFull, "queue full"));
   }
 }
@@ -452,19 +435,7 @@ void Server::handle_health(const std::shared_ptr<Connection>& conn,
   body.set("queue_depth",
            json::Value(static_cast<double>(queue_depth())));
   body.set("draining", json::Value(stop_requested()));
-  Counters c = counters();
-  json::Value cnt;
-  cnt.set("requests", json::Value(static_cast<double>(c.requests)));
-  cnt.set("answered", json::Value(static_cast<double>(c.answered)));
-  cnt.set("shed", json::Value(static_cast<double>(c.shed)));
-  cnt.set("deadline_exceeded",
-          json::Value(static_cast<double>(c.deadline_exceeded)));
-  cnt.set("malformed", json::Value(static_cast<double>(c.malformed)));
-  cnt.set("batches", json::Value(static_cast<double>(c.batches)));
-  cnt.set("reloads", json::Value(static_cast<double>(c.reloads)));
-  cnt.set("reload_rejected",
-          json::Value(static_cast<double>(c.reload_rejected)));
-  body.set("counters", std::move(cnt));
+  body.set("counters", counters_json(counts_));
   conn->send_line(ok_response(req.id, std::move(body)));
 }
 
@@ -473,8 +444,7 @@ void Server::handle_reload(const std::shared_ptr<Connection>& conn,
   std::lock_guard<std::mutex> reload_guard(reload_mutex_);
 
   auto reject = [&](const std::string& why) {
-    counters_->reload_rejected.fetch_add(1);
-    OCPS_OBS_COUNT("serve.reload_rejected", 1);
+    counts_.add(kReloadRejected);
     conn->send_line(error_response(
         req.id, kCodeUnprocessable,
         "reload rejected, keeping profile set v" +
@@ -506,8 +476,7 @@ void Server::handle_reload(const std::shared_ptr<Connection>& conn,
     std::lock_guard<std::mutex> guard(profiles_mutex_);
     profiles_ = std::move(set);
   }
-  counters_->reloads.fetch_add(1);
-  OCPS_OBS_COUNT("serve.reloads", 1);
+  counts_.add(kReloads);
   json::Value body;
   body.set("version", json::Value(static_cast<double>(next_version)));
   body.set("programs",
@@ -744,8 +713,7 @@ void Server::batch_loop() {
 
 void Server::process_batch(std::vector<Pending>& batch,
                            SolverState& solver) {
-  counters_->batches.fetch_add(1);
-  OCPS_OBS_COUNT("serve.batches", 1);
+  counts_.add(kBatches);
   OCPS_OBS_HIST("serve.batch_size", static_cast<double>(batch.size()));
   obs::ScopedSpan span("serve.process_batch", "serve");
   span.set_arg("requests", batch.size());
@@ -783,8 +751,7 @@ void Server::process_batch(std::vector<Pending>& batch,
     p.solve_start = Clock::now();
     p.serialize_start = p.solve_start;
     if (Clock::now() > p.deadline) {
-      counters_->deadline_exceeded.fetch_add(1);
-      OCPS_OBS_COUNT("serve.deadline_exceeded", 1);
+      counts_.add(kDeadlineExceeded);
       respond(p,
               error_response(p.req.id, kCodeDeadlineExceeded,
                              "deadline exceeded before solve"),
@@ -797,8 +764,7 @@ void Server::process_batch(std::vector<Pending>& batch,
       else
         answer_sweep(p, *set);
     } catch (const SweepDeadlineExceeded& e) {
-      counters_->deadline_exceeded.fetch_add(1);
-      OCPS_OBS_COUNT("serve.deadline_exceeded", 1);
+      counts_.add(kDeadlineExceeded);
       p.serialize_start = Clock::now();  // solve ran until the throw
       respond(p, error_response(p.req.id, kCodeDeadlineExceeded, e.what()),
               false);
@@ -890,7 +856,6 @@ void Server::answer_partition(
                   " value=" + json::Value(solver.dp_buf.objective_value).dump();
   const std::uint64_t decision_id =
       decisions_->record(decision, decision.at_ns);
-  OCPS_OBS_COUNT("dp.decisions", 1);
 
   json::Value body;
   json::Array programs;
@@ -999,21 +964,11 @@ void Server::answer_sweep(Pending& p, const ProfileSet& set) {
 void Server::respond(Pending& p, const std::string& line, bool answered) {
   // Counted before the line goes out, so a client that has its answer
   // and asks for health next always sees it counted.
-  if (answered) {
-    counters_->answered.fetch_add(1);
-    OCPS_OBS_COUNT("serve.answered", 1);
-  }
+  if (answered) counts_.add(kAnswered);
   Clock::time_point send_start = Clock::now();
   p.conn->send_line(line);
   Clock::time_point now = Clock::now();
-  double ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(now - p.enqueued)
-          .count());
-  OCPS_OBS_HIST("serve.request_ns", ns);
-  double ms = ns / 1e6;
-  // Milliseconds twin of request_ns: the log-bucket resolution (factor
-  // of two) is what the exposition quantiles work from, and ms buckets
-  // read naturally on a dashboard.
+  const double ms = ms_since(p.enqueued, now);
   OCPS_OBS_HIST("serve.request_latency", ms);
   if (obs::enabled()) telemetry_->window.observe(ms);
 

@@ -33,11 +33,12 @@
 //     then exits.
 //
 // Observability (obs registry, docs/serving.md lists all fields):
-// serve.queue_depth gauge, serve.batch_size + serve.request_ns
-// histograms, counters serve.requests / serve.shed /
-// serve.deadline_exceeded / serve.malformed / serve.reloads /
-// serve.reload_rejected / serve.batches. `health` reads the same
-// numbers from the server's own atomics so it works with obs off.
+// serve.queue_depth gauge, serve.batch_size + serve.request_latency
+// histograms. The counters serve.requests / serve.answered / serve.shed /
+// serve.deadline_exceeded / serve.malformed / serve.batches /
+// serve.reloads / serve.reload_rejected live in the daemon's own
+// obs::CounterSet, which counts with obs off too: `health`, counters()
+// and every exporter read one number per event.
 #pragma once
 
 #include <atomic>
@@ -176,8 +177,7 @@ class Server {
   /// Current profile-set version (bumps on successful reload).
   std::uint64_t profile_version() const;
 
-  /// Plain-data counters mirrored into the obs registry; `health`
-  /// responses are assembled from these so they work with obs off.
+  /// A copy of the daemon's counter set (the serve.* counters above).
   struct Counters {
     std::uint64_t requests = 0;     ///< lines received (any op)
     std::uint64_t answered = 0;     ///< solver requests answered ok
@@ -257,8 +257,7 @@ class Server {
 
   std::chrono::steady_clock::time_point started_at_;
 
-  struct AtomicCounters;
-  std::unique_ptr<AtomicCounters> counters_;
+  obs::CounterSet counts_;  ///< indexed by server.cpp's Count
 
   /// Windowed latency histogram + slow-request log (see server.cpp).
   struct Telemetry;

@@ -344,7 +344,6 @@ TEST_F(DecisionMetricsTest, PublishesDecisionAndDriftGauges) {
 
   EXPECT_DOUBLE_EQ(obs::gauge("dp.decision.total").value(), 1.0);
   EXPECT_DOUBLE_EQ(obs::gauge("dp.decision.reconciled").value(), 1.0);
-  EXPECT_DOUBLE_EQ(obs::gauge("dp.decision.last_id").value(), 1.0);
   EXPECT_NEAR(obs::gauge("dp.decision.mean_abs_error").value(), 0.1, 1e-12);
   EXPECT_NEAR(obs::gauge("dp.drift.ewma_abs_error").value(), 0.1, 1e-12);
   EXPECT_DOUBLE_EQ(obs::gauge("dp.drift.breaching").value(), 1.0);

@@ -3,10 +3,12 @@
 // trace_event JSON export (round-tripped through a minimal JSON parser).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -602,6 +604,99 @@ TEST_F(ObsTest, PrometheusExpositionIsWellFormed) {
 
   // Raw dots must never leak into metric names.
   EXPECT_EQ(text.find("test.prom"), std::string::npos);
+}
+
+std::uint64_t exported_counter(const std::string& name) {
+  for (const auto& [n, v] : obs::metrics_snapshot().counters)
+    if (n == name) return v;
+  return ~std::uint64_t{0};  // not registered
+}
+
+TEST_F(ObsTest, CounterSetCountsWithObsOffAndExportsThroughTheRegistry) {
+  obs::set_enabled(false);
+  auto first = std::make_unique<obs::CounterSet>(
+      std::vector<std::string>{"test.set.x", "test.set.y"});
+  obs::CounterSet second({"test.set.x"});
+  EXPECT_EQ(exported_counter("test.set.y"), 0u);  // exported from the start
+  first->add(0, 3);
+  first->add(1);
+  second.add(0, 4);
+  EXPECT_EQ(first->value(0), 3u);
+  EXPECT_EQ(first->value(1), 1u);
+  EXPECT_EQ(second.value(0), 4u);
+
+  // Two sets with one name export their sum, through every exporter.
+  EXPECT_EQ(exported_counter("test.set.x"), 7u);
+  EXPECT_EQ(exported_counter("test.set.y"), 1u);
+  std::ostringstream prom;
+  obs::write_metrics_prometheus(prom);
+  EXPECT_NE(prom.str().find("\ntest_set_x 7\n"), std::string::npos);
+
+  // A destroyed set's counts move into the process totals.
+  first.reset();
+  EXPECT_EQ(exported_counter("test.set.x"), 7u);
+  EXPECT_EQ(exported_counter("test.set.y"), 1u);
+  second.add(0);
+  EXPECT_EQ(exported_counter("test.set.x"), 8u);
+
+  obs::reset_metrics();
+  EXPECT_EQ(second.value(0), 0u);
+  EXPECT_EQ(exported_counter("test.set.x"), 0u);
+  EXPECT_EQ(exported_counter("test.set.y"), 0u);
+}
+
+TEST_F(ObsTest, ExportsKeepEveryDigit) {
+  obs::histogram("test.digits.hist").observe(3123456789.0);
+  obs::gauge("test.digits.gauge").set(0.123456789);
+  obs::histogram("test.digits.le").observe(5e7);  // bucket [2^25, 2^26)
+  // A span 20 ms after the epoch has a `ts` (in us) of eight digits.
+  obs::now_ns();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  { obs::ScopedSpan span("test.digits.span", "test"); }
+
+  std::ostringstream js;
+  obs::write_metrics_json(js);
+  Result<json::Value> doc = json::parse(js.str());
+  ASSERT_TRUE(doc.ok()) << js.str();
+  const json::Value* hists = doc.value().find("histograms");
+  ASSERT_NE(hists, nullptr);
+  EXPECT_EQ(hists->find("test.digits.hist")->get_number("sum", 0.0),
+            3123456789.0);
+  EXPECT_EQ(doc.value().find("gauges")->get_number("test.digits.gauge", 0.0),
+            0.123456789);
+  const json::Value& bucket =
+      hists->find("test.digits.le")->find("buckets")->as_array().at(0);
+  EXPECT_EQ(bucket.get_number("hi", 0.0), 67108864.0);
+
+  std::ostringstream prom;
+  obs::write_metrics_prometheus(prom);
+  const std::string text = prom.str();
+  EXPECT_NE(text.find("\ntest_digits_hist_sum 3123456789\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\ntest_digits_gauge 0.123456789\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\ntest_digits_le_bucket{le=\"67108864\"} 1\n"),
+            std::string::npos);
+
+  std::ostringstream trace;
+  obs::write_chrome_trace(trace);
+  Result<json::Value> events = json::parse(trace.str());
+  ASSERT_TRUE(events.ok()) << trace.str();
+  const std::vector<obs::TraceEvent> recorded = obs::trace_events();
+  ASSERT_EQ(recorded.size(), 1u);
+  const json::Value& event =
+      events.value().find("traceEvents")->as_array().at(0);
+  EXPECT_EQ(event.get_string("name", ""), "test.digits.span");
+  EXPECT_EQ(event.get_number("ts", 0.0),
+            static_cast<double>(recorded[0].ts_ns) / 1000.0);
+  EXPECT_EQ(event.get_number("dur", -1.0),
+            static_cast<double>(recorded[0].dur_ns) / 1000.0);
+}
+
+// Under ctest this runs in a process of its own, so it takes the
+// process's first timestamp: the one that sets the trace epoch.
+TEST(ObsClockTest, FirstTimestampOfAProcessIsSmall) {
+  EXPECT_LT(obs::now_ns(), 3600ull * 1000000000ull);
 }
 
 TEST_F(ObsTest, SpansDroppedCountsRingOverwrites) {

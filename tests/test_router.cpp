@@ -571,7 +571,7 @@ TEST_F(RouterTest, RouterForwardsWithStablePlacement) {
     ASSERT_NE(alloc, nullptr);
   }
   // Same profile set -> same backend every time: exactly one backend's
-  // request counter moved (health probes hit `metrics`, which the
+  // request counter moved (health probes hit `health`, which the
   // daemon's serve.requests counter also counts, so compare deltas of
   // answered partitions instead).
   std::size_t answered_on = 0;
@@ -763,10 +763,35 @@ TEST_F(RouterTest, RouterAnswersHealthAndMetricsLocally) {
   ASSERT_NE(m, nullptr);
   const json::Value* prom = metrics.value().body.find("prometheus");
   ASSERT_NE(prom, nullptr);
-  // Fleet aggregates ingested from backend scrapes are present.
+  // Fleet aggregates ingested from backend `health` answers are present.
   const json::Value* gauges = m->find("gauges");
   ASSERT_NE(gauges, nullptr);
   EXPECT_NE(gauges->find("serve.fleet.requests"), nullptr);
+  router.stop();
+}
+
+TEST_F(RouterTest, FleetRollupCountsEachBackendOnce) {
+  // Both backends share this process and its registry, as perfbench's
+  // fleet does: the roll-up sums each backend's own counts, which its
+  // `health` answer carries, not its process's, which `metrics` carries.
+  Fleet fleet(2, "rollup");
+  fleet.start_all();
+  Router router(fast_router_config(fleet, "rollup_r"));
+  ASSERT_TRUE(router.start().ok());
+  Result<Client> client = Client::connect(router.config().socket_path);
+  ASSERT_TRUE(client.ok());
+  for (int i = 1; i <= 10; ++i) {
+    Result<Response> resp = client.value().call(partition_line(i));
+    ASSERT_TRUE(resp.ok());
+    ASSERT_TRUE(resp.value().ok) << resp.value().error;
+  }
+  // Five probes after the last answer span a whole probe round, and the
+  // gauge refresh that follows it, on the final counts.
+  const std::uint64_t probes = router.counters().health_probes;
+  ASSERT_TRUE(wait_for(
+      [&] { return router.counters().health_probes >= probes + 5; }));
+  EXPECT_EQ(obs::gauge("serve.fleet.answered").value(), 10.0);
+  EXPECT_GE(obs::gauge("serve.fleet.requests").value(), 10.0);
   router.stop();
 }
 
@@ -858,12 +883,15 @@ TEST_F(RouterTest, RouterStampsTraceContextOnForwards) {
   // backend's hop marker (hop > 0, arg = the router's span nonce), and
   // the backend's solve — all under the client's trace id.
   bool fwd = false, hop = false, solve = false;
-  std::uint64_t hop_parent = 0;
+  std::uint64_t hop_parent = 0, fwd_nonce = 0;
   for (int spin = 0; spin < 2000 && !(fwd && hop && solve); ++spin) {
     fwd = hop = solve = false;
     for (const obs::TraceEvent& e : obs::trace_events_for(9001)) {
       std::string name = e.name ? e.name : "";
-      if (name == "serve.router.forward") fwd = true;
+      if (name == "serve.router.forward") {
+        fwd = true;
+        fwd_nonce = e.arg;
+      }
       if (name == "serve.hop") {
         hop = true;
         hop_parent = e.arg;
@@ -877,6 +905,7 @@ TEST_F(RouterTest, RouterStampsTraceContextOnForwards) {
   EXPECT_TRUE(hop) << "backend never saw a hop > 0";
   EXPECT_TRUE(solve) << "backend solve span not linked to the trace";
   EXPECT_NE(hop_parent, 0u) << "hop marker lost the parent span nonce";
+  EXPECT_EQ(hop_parent, fwd_nonce) << "the span nonce changed on the wire";
 
   // An untraced client request still gets a minted id: the backend's
   // slowlog row carries a non-zero trace_id the operator can query.
@@ -905,11 +934,25 @@ TEST_F(RouterTest, RouterStampsTraceContextOnForwards) {
   const json::Value* rows = slow.value().body.find("slowlog");
   ASSERT_NE(rows, nullptr);
   ASSERT_FALSE(rows->as_array().empty());
+  // The router's forward span for request 2 carries the minted id.
+  std::uint64_t router_id = 0;
+  EXPECT_TRUE(wait_for([&] {
+    for (const obs::TraceEvent& e : obs::trace_events())
+      if (std::string(e.name) == "serve.router.forward" && e.trace_id != 9001)
+        router_id = e.trace_id;
+    return router_id != 0;
+  }));
   bool minted = false;
   for (const json::Value& row : rows->as_array()) {
     if (row.get_number("id", 0.0) == 2.0) {
-      EXPECT_GT(row.get_number("trace_id", 0.0), 0.0)
+      const double backend_id = row.get_number("trace_id", 0.0);
+      EXPECT_GT(backend_id, 0.0)
           << "router forwarded hop without minting a trace id";
+      EXPECT_EQ(backend_id < 18446744073709551616.0
+                    ? static_cast<std::uint64_t>(backend_id)
+                    : 0u,
+                router_id)
+          << "the minted trace id changed on the wire";
       minted = true;
     }
   }

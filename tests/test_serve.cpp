@@ -3,7 +3,7 @@
 // fault matrix — happy path, malformed JSON, queue-full shedding,
 // deadline expiry, reload-with-bad-profile keeping the last-good set, and
 // the SIGTERM drain answering every admitted request — and asserting that
-// the obs registry mirrors the server's own counters.
+// the obs exporters read the server's own counter set.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -635,6 +635,31 @@ TEST_F(ServeTest, ProtocolRoundTrip) {
   EXPECT_EQ(decoded.value().error, "queue full");
 }
 
+TEST_F(ServeTest, ProtocolRefusesIntegersTheWireCannotCarryExactly) {
+  // JSON numbers are doubles: at 2^53 and above an integer may already be
+  // rounded, so it is refused instead of cast (1e30 was undefined
+  // behaviour, and capacity 1e25 read as 0, the server default).
+  for (const char* line :
+       {R"({"op":"health","trace_id":1e30})",
+        R"({"op":"partition","programs":["a"],"capacity":1e25})",
+        R"({"op":"decisions","decision_id":9007199254740992})",
+        R"({"op":"health","parent_span":18446744073709551615})",
+        R"({"id":1e30,"op":"health"})",
+        R"({"id":-9007199254740992,"op":"health"})"})
+    EXPECT_FALSE(parse_request(line).ok()) << line;
+
+  Result<Request> top = parse_request(
+      R"({"id":-9007199254740991,"op":"decisions",)"
+      R"("decision_id":9007199254740991,"trace_id":9007199254740991})");
+  ASSERT_TRUE(top.ok()) << top.error().to_string();
+  EXPECT_EQ(top.value().id, -9007199254740991);
+  EXPECT_EQ(top.value().decision_id, 9007199254740991u);
+  EXPECT_EQ(top.value().trace_id, 9007199254740991u);
+
+  EXPECT_FALSE(parse_response(R"({"id":1e30,"ok":true})").ok());
+  EXPECT_FALSE(parse_response(R"({"id":1,"ok":false,"code":1e30})").ok());
+}
+
 TEST_F(ServeTest, ProtocolMetricsSlowlogAndTraceId) {
   Result<Request> metrics =
       parse_request(R"({"id":1,"op":"metrics","trace_id":99})");
@@ -736,6 +761,45 @@ TEST_F(ServeTest, MetricsOpExposesRegistryAndPercentiles) {
   EXPECT_EQ(off.value().code, kCodeObsDisabled);
   obs::set_enabled(true);
 
+  server.request_stop();
+  server.stop();
+}
+
+TEST_F(ServeTest, CountsMadeWithObsOffAreExported) {
+  obs::set_enabled(false);
+  ServeConfig config;
+  config.socket_path = unique_socket_path("obsoff_counts");
+  config.capacity = kCapacity;
+  Server server(config, make_models());
+  ASSERT_TRUE(server.start().ok());
+  Result<Client> client = Client::connect(config.socket_path);
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value().call(partition_request(1, {"prog0"})).ok());
+  ASSERT_TRUE(client.value().call(partition_request(2, {"prog1"})).ok());
+  ASSERT_TRUE(client.value().call(R"({"id":3,"op":"nope"})").ok());
+
+  // The daemon's counter set counted all along; turning obs on exposes
+  // those counts to every exporter, not just to `health`.
+  obs::set_enabled(true);
+  Result<Response> r = client.value().call(R"({"id":4,"op":"metrics"})");
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r.value().ok) << r.value().error;
+  const json::Value* counters = r.value().body.find("metrics")->find(
+      "counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->get_number("serve.requests", -1.0), 4.0);
+  EXPECT_EQ(counters->get_number("serve.answered", -1.0), 2.0);
+  EXPECT_EQ(counters->get_number("serve.malformed", -1.0), 1.0);
+  EXPECT_NE(r.value().body.get_string("prometheus", "").find(
+                "serve_answered 2\n"),
+            std::string::npos);
+
+  Result<Response> health = client.value().call(R"({"id":5,"op":"health"})");
+  ASSERT_TRUE(health.ok());
+  const json::Value* cnt = health.value().body.find("counters");
+  ASSERT_NE(cnt, nullptr);
+  EXPECT_EQ(cnt->get_number("requests", -1.0), 5.0);
+  EXPECT_EQ(cnt->get_number("answered", -1.0), 2.0);
   server.request_stop();
   server.stop();
 }

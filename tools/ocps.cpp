@@ -1147,8 +1147,7 @@ int cmd_trace(const ArgParser& args) {
     for (const StitchedSpan& s : spans) {
       std::string arg;
       if (!s.arg_name.empty())
-        arg = s.arg_name + "=" +
-              std::to_string(static_cast<std::uint64_t>(s.arg));
+        arg = s.arg_name + "=" + json::Value(s.arg).dump();
       t.add_row({"+" + TextTable::num((s.wall_ns - base) / 1e6, 3) + "ms",
                  s.instant
                      ? std::string("!")
@@ -1162,35 +1161,42 @@ int cmd_trace(const ArgParser& args) {
   std::string out = args.get_string("out", "");
   if (!out.empty()) {
     // Chrome trace_event JSON: one pid per process (with process_name
-    // metadata), timestamps rebased to the earliest span.
-    std::ofstream os(out, std::ios::trunc);
-    OCPS_CHECK(os.good(), "cannot open " << out << " for writing");
+    // metadata), timestamps rebased to the earliest span. Labels and
+    // names arrive over the network, so util/json escapes them.
     const double base = spans.empty() ? 0.0 : spans.front().wall_ns;
-    os << "{\"traceEvents\":[";
-    bool first = true;
+    json::Array events;
     for (std::size_t pi = 0; pi < proc_labels.size(); ++pi) {
-      if (!first) os << ',';
-      first = false;
-      os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pi + 1
-         << ",\"tid\":0,\"args\":{\"name\":\"" << proc_labels[pi]
-         << "\"}}";
+      json::Value meta, args;
+      meta.set("ph", json::Value("M"));
+      meta.set("name", json::Value("process_name"));
+      meta.set("pid", json::Value(static_cast<double>(pi + 1)));
+      meta.set("tid", json::Value(0));
+      args.set("name", json::Value(proc_labels[pi]));
+      meta.set("args", std::move(args));
+      events.push_back(std::move(meta));
     }
     for (const StitchedSpan& s : spans) {
-      os << ",{\"name\":\"" << s.name << "\",\"cat\":\"" << s.cat
-         << "\",\"ph\":\"" << (s.instant ? 'i' : 'X')
-         << "\",\"pid\":" << s.proc + 1 << ",\"tid\":" << s.tid
-         << ",\"ts\":" << (s.wall_ns - base) / 1000.0;
+      json::Value e, args;
+      e.set("name", json::Value(s.name));
+      e.set("cat", json::Value(s.cat));
+      e.set("ph", json::Value(s.instant ? "i" : "X"));
+      e.set("pid", json::Value(static_cast<double>(s.proc + 1)));
+      e.set("tid", json::Value(s.tid));
+      e.set("ts", json::Value((s.wall_ns - base) / 1000.0));
       if (s.instant)
-        os << ",\"s\":\"t\"";
+        e.set("s", json::Value("t"));
       else
-        os << ",\"dur\":" << s.dur_ns / 1000.0;
-      os << ",\"args\":{\"trace_id\":" << trace_id;
-      if (!s.arg_name.empty())
-        os << ",\"" << s.arg_name
-           << "\":" << static_cast<std::uint64_t>(s.arg);
-      os << "}}";
+        e.set("dur", json::Value(s.dur_ns / 1000.0));
+      args.set("trace_id", json::Value(static_cast<double>(trace_id)));
+      if (!s.arg_name.empty()) args.set(s.arg_name, json::Value(s.arg));
+      e.set("args", std::move(args));
+      events.push_back(std::move(e));
     }
-    os << "]}";
+    json::Value doc;
+    doc.set("traceEvents", json::Value(std::move(events)));
+    std::ofstream os(out, std::ios::trunc);
+    OCPS_CHECK(os.good(), "cannot open " << out << " for writing");
+    os << doc.dump();
     OCPS_CHECK(os.good(), "write failed for " << out);
     std::cout << "\nwrote stitched Chrome trace (" << spans.size()
               << " spans, " << proc_labels.size() << " procs) to " << out

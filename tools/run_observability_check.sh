@@ -258,7 +258,7 @@ EOF
     serve_slo_latency_target serve_slo_latency_burn_5m \
     serve_slo_latency_burn_1h serve_slo_availability_burn_5m \
     serve_slo_alerts_total \
-    ocps_build_info dp_decisions dp_decision_total dp_decision_reconciled \
+    ocps_build_info dp_decision_total dp_decision_reconciled \
     dp_decision_mean_abs_error dp_decision_bias dp_drift_ewma_abs_error \
     dp_drift_breaching dp_drift_alerts_total dp_prediction_error_bucket \
     dp_prediction_error_window_p99

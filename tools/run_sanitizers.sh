@@ -5,7 +5,9 @@
 #   tools/run_sanitizers.sh [mode] [build-dir] [ctest-args...]
 #
 # Modes:
-#   asan  (default)  ASan+UBSan over the full tier-1 suite
+#   asan  (default)  ASan+UBSan over the full tier-1 suite, UBSan with
+#                    float-cast-overflow too (gcc's `undefined` group
+#                    leaves out out-of-range float-to-integer casts)
 #   tsan             ThreadSanitizer over the concurrency-heavy tests
 #                    (thread pool, batched sweep, serve daemon, router +
 #                    retry/breaker layer incl. the TCP suites, and the
@@ -34,7 +36,7 @@ shift || true
 
 case "$mode" in
   asan)
-    sanitize="address,undefined"
+    sanitize="address,undefined,float-cast-overflow"
     ;;
   tsan)
     sanitize="thread"
