@@ -2,16 +2,13 @@
 //
 // Every table/figure binary needs the profiled 16-program suite and most
 // need the full 1820-group six-method sweep. Each binary profiles the
-// suite cold; with OCPS_SUITE_CACHE set, the footprints are cached in
-// that directory and later runs read them instead (a different program
-// model until ROADMAP item 1, so a different Table I). The sweep is cheap
-// enough to recompute in every binary.
+// suite cold and recomputes the sweep; both are cheap enough to redo in
+// every binary.
 //
 // Environment knobs:
 //   OCPS_TRACE_LENGTH  accesses per program           (default 400000)
 //   OCPS_CAPACITY      cache size in 8KB-like units   (default 1024)
 //   OCPS_GROUP_LIMIT   cap on number of co-run groups (default all 1820)
-//   OCPS_SUITE_CACHE   footprint cache directory      (default unset: none)
 //   OCPS_CSV_DIR       when set, figure series are also written as CSV
 #pragma once
 

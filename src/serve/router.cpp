@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -40,11 +41,20 @@ std::chrono::milliseconds clamp_left(Clock::time_point deadline,
   return std::max(std::chrono::milliseconds(1), left);
 }
 
-// The router's counter set, in Router::Counters and `health` order.
+// The router's counter set, in `health` order: one name per Count.
 enum Count : std::size_t {
   kRequests, kForwarded, kFailovers, kRelayedErrors, kNoBackend, kAllOpen,
-  kMalformed, kReloads, kDeadlineExceeded, kHealthProbes, kHealthFailures
+  kMalformed, kReloads, kDeadlineExceeded, kHealthProbes, kHealthFailures,
+  kCountTotal
 };
+constexpr const char* kCountNames[] = {
+    "serve.router.requests",          "serve.router.forwarded",
+    "serve.router.failovers",         "serve.router.relayed_errors",
+    "serve.router.no_backend",        "serve.router.all_open",
+    "serve.router.malformed",         "serve.router.reloads",
+    "serve.router.deadline_exceeded", "serve.router.health_probes",
+    "serve.router.health_failures"};
+static_assert(std::size(kCountNames) == kCountTotal, "one name per Count");
 
 }  // namespace
 
@@ -215,12 +225,7 @@ struct Router::Backend {
 
 Router::Router(RouterConfig config)
     : config_(std::move(config)),
-      counts_({"serve.router.requests", "serve.router.forwarded",
-               "serve.router.failovers", "serve.router.relayed_errors",
-               "serve.router.no_backend", "serve.router.all_open",
-               "serve.router.malformed", "serve.router.reloads",
-               "serve.router.deadline_exceeded", "serve.router.health_probes",
-               "serve.router.health_failures"}),
+      counts_({std::begin(kCountNames), std::end(kCountNames)}),
       frontend_(
           config_, "serve.router.conn_limit_rejected",
           {[this] {
@@ -303,10 +308,19 @@ CircuitBreaker::State Router::breaker_state(std::size_t i) const {
 }
 
 Router::Counters Router::counters() const {
-  auto v = [this](Count i) { return counts_.value(i); };
-  return {v(kRequests),  v(kForwarded), v(kFailovers), v(kRelayedErrors),
-          v(kNoBackend),  v(kAllOpen),   v(kMalformed), v(kReloads),
-          v(kDeadlineExceeded), v(kHealthProbes), v(kHealthFailures)};
+  Counters c;
+  c.requests = counts_.value(kRequests);
+  c.forwarded = counts_.value(kForwarded);
+  c.failovers = counts_.value(kFailovers);
+  c.relayed_errors = counts_.value(kRelayedErrors);
+  c.no_backend = counts_.value(kNoBackend);
+  c.all_open = counts_.value(kAllOpen);
+  c.malformed = counts_.value(kMalformed);
+  c.reloads = counts_.value(kReloads);
+  c.deadline_exceeded = counts_.value(kDeadlineExceeded);
+  c.health_probes = counts_.value(kHealthProbes);
+  c.health_failures = counts_.value(kHealthFailures);
+  return c;
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <unordered_set>
@@ -45,11 +46,16 @@ constexpr std::size_t kStageCount = 4;
 constexpr const char* kStageNames[kStageCount] = {"queue_wait", "solve",
                                                   "serialize", "network"};
 
-// The daemon's counter set, in Server::Counters and `health` order.
+// The daemon's counter set, in `health` order: one name per Count.
 enum Count : std::size_t {
   kRequests, kAnswered, kShed, kDeadlineExceeded, kMalformed, kBatches,
-  kReloads, kReloadRejected
+  kReloads, kReloadRejected, kCountTotal
 };
+constexpr const char* kCountNames[] = {
+    "serve.requests",          "serve.answered",  "serve.shed",
+    "serve.deadline_exceeded", "serve.malformed", "serve.batches",
+    "serve.reloads",           "serve.reload_rejected"};
+static_assert(std::size(kCountNames) == kCountTotal, "one name per Count");
 
 }  // namespace
 
@@ -215,9 +221,7 @@ struct Server::SolverState {
 
 Server::Server(ServeConfig config, std::vector<ProgramModel> models)
     : config_(std::move(config)),
-      counts_({"serve.requests", "serve.answered", "serve.shed",
-               "serve.deadline_exceeded", "serve.malformed", "serve.batches",
-               "serve.reloads", "serve.reload_rejected"}),
+      counts_({std::begin(kCountNames), std::end(kCountNames)}),
       frontend_(
           config_, "serve.conn_limit_rejected",
           {[this] {
@@ -306,9 +310,16 @@ std::uint64_t Server::profile_version() const {
 }
 
 Server::Counters Server::counters() const {
-  auto v = [this](Count i) { return counts_.value(i); };
-  return {v(kRequests), v(kAnswered), v(kShed), v(kDeadlineExceeded),
-          v(kMalformed), v(kBatches), v(kReloads), v(kReloadRejected)};
+  Counters c;
+  c.requests = counts_.value(kRequests);
+  c.answered = counts_.value(kAnswered);
+  c.shed = counts_.value(kShed);
+  c.deadline_exceeded = counts_.value(kDeadlineExceeded);
+  c.malformed = counts_.value(kMalformed);
+  c.batches = counts_.value(kBatches);
+  c.reloads = counts_.value(kReloads);
+  c.reload_rejected = counts_.value(kReloadRejected);
+  return c;
 }
 
 std::shared_ptr<const ProfileSet> Server::profiles() const {

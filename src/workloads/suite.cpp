@@ -19,7 +19,6 @@ SuiteOptions suite_options_from_env() {
               static_cast<std::int64_t>(options.trace_length)));
   options.capacity = static_cast<std::size_t>(
       env_int("OCPS_CAPACITY", static_cast<std::int64_t>(options.capacity)));
-  options.cache_dir = env_string("OCPS_SUITE_CACHE", options.cache_dir);
   return options;
 }
 

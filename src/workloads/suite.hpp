@@ -16,7 +16,7 @@
 namespace ocps {
 
 /// Suite construction knobs. Env overrides (used by bench binaries):
-/// OCPS_TRACE_LENGTH, OCPS_CAPACITY, OCPS_SUITE_CACHE.
+/// OCPS_TRACE_LENGTH, OCPS_CAPACITY.
 struct SuiteOptions {
   std::size_t trace_length = 400'000;  ///< accesses per program
   std::size_t capacity = 1024;         ///< cache size in allocation units
