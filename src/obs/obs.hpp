@@ -41,6 +41,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/second_ring.hpp"
+
 namespace ocps::obs {
 
 /// One exported trace event (a completed span or an instant marker).
@@ -230,14 +232,13 @@ struct MetricsSnapshot {
 /// empty histogram; the open-ended last bucket reports its lower bound.
 double histogram_quantile(const HistogramSnapshot& h, double q);
 
-/// Log-bucketed histogram over a sliding time window: per-second slot
-/// sub-histograms, expired slots dropped at observe/snapshot time, so a
-/// snapshot reflects only the last `window_seconds`. Guarded by a mutex —
-/// meant for request-rate paths (the serve daemon), not inner loops.
+/// Log-bucketed histogram over a sliding time window: per-second
+/// sub-histograms in a SecondRing, so a snapshot reflects only the last
+/// `window_seconds`. Guarded by a mutex — meant for request-rate paths
+/// (the serve daemon), not inner loops.
 class WindowedHistogram {
  public:
   explicit WindowedHistogram(unsigned window_seconds = 30);
-  ~WindowedHistogram();
   WindowedHistogram(const WindowedHistogram&) = delete;
   WindowedHistogram& operator=(const WindowedHistogram&) = delete;
 
@@ -252,10 +253,14 @@ class WindowedHistogram {
                                 std::uint64_t now_ns) const;
 
  private:
-  struct Slot;
+  struct Bins {  // one second of observations
+    std::array<std::uint64_t, kHistogramBuckets> buckets{};
+    double sum = 0.0;
+    std::uint64_t count = 0;
+  };
   mutable std::mutex mu_;
-  std::vector<Slot> slots_;
   unsigned window_;
+  SecondRing<Bins> ring_;
 };
 
 /// Named metric lookup; creates on first use. Thread-safe. The returned

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <ostream>
 
 #include "obs/obs.hpp"
@@ -155,36 +154,16 @@ double histogram_quantile(const HistogramSnapshot& h, double q) {
              : Histogram::bucket_lower_bound(h.buckets.back().first);
 }
 
-// One slot = one wall second of observations. A slot is lazily recycled
-// when a newer second hashes onto it, so the ring needs window+1 slots to
-// never evict an in-window second.
-struct WindowedHistogram::Slot {
-  std::uint64_t second = std::numeric_limits<std::uint64_t>::max();
-  std::array<std::uint64_t, kHistogramBuckets> buckets{};
-  double sum = 0.0;
-  std::uint64_t count = 0;
-};
-
 WindowedHistogram::WindowedHistogram(unsigned window_seconds)
-    : slots_(window_seconds > 0 ? window_seconds + 1 : 2),
-      window_(window_seconds > 0 ? window_seconds : 1) {}
-
-WindowedHistogram::~WindowedHistogram() = default;
+    : window_(window_seconds > 0 ? window_seconds : 1), ring_(window_) {}
 
 void WindowedHistogram::observe(double v) noexcept {
   observe_at(v, now_ns());
 }
 
 void WindowedHistogram::observe_at(double v, std::uint64_t now) noexcept {
-  std::uint64_t sec = now / 1000000000ULL;
   std::lock_guard<std::mutex> lock(mu_);
-  Slot& s = slots_[sec % slots_.size()];
-  if (s.second != sec) {
-    s.second = sec;
-    s.buckets.fill(0);
-    s.sum = 0.0;
-    s.count = 0;
-  }
+  Bins& s = ring_.at(now);
   ++s.buckets[Histogram::bucket_index(v)];
   if (std::isfinite(v)) s.sum += v;
   ++s.count;
@@ -196,20 +175,17 @@ HistogramSnapshot WindowedHistogram::snapshot(const std::string& name) const {
 
 HistogramSnapshot WindowedHistogram::snapshot_at(const std::string& name,
                                                  std::uint64_t now) const {
-  std::uint64_t sec = now / 1000000000ULL;
-  std::uint64_t oldest = sec >= window_ ? sec - window_ + 1 : 0;
   std::array<std::uint64_t, kHistogramBuckets> merged{};
   HistogramSnapshot out;
   out.name = name;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const Slot& s : slots_) {
-      if (s.second < oldest || s.second > sec) continue;
+    ring_.for_window(now, window_, [&](const Bins& s) {
       for (std::size_t i = 0; i < kHistogramBuckets; ++i)
         merged[i] += s.buckets[i];
       out.sum += s.sum;
       out.count += s.count;
-    }
+    });
   }
   for (std::size_t i = 0; i < kHistogramBuckets; ++i)
     if (merged[i] > 0) out.buckets.emplace_back(i, merged[i]);

@@ -1,20 +1,10 @@
 #include "obs/slo.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace ocps::obs {
 
-namespace {
-constexpr std::uint64_t kEmptySecond =
-    std::numeric_limits<std::uint64_t>::max();
-}  // namespace
-
-SloTracker::SloTracker(SloConfig config) : config_(config) {
-  // Same lazy-recycling ring as WindowedHistogram: window + 1 per-second
-  // slots so an in-window second is never evicted by a newer one.
-  slots_.assign(kLongWindowSeconds + 1, Slot{kEmptySecond, 0, 0, 0});
-}
+SloTracker::SloTracker(SloConfig config) : config_(config) {}
 
 bool SloTracker::configured() const noexcept {
   return config_.p99_ms > 0.0 || config_.availability > 0.0;
@@ -22,40 +12,29 @@ bool SloTracker::configured() const noexcept {
 
 void SloTracker::record(double latency_ms, bool ok, std::uint64_t now_ns) {
   if (!configured()) return;
-  std::uint64_t sec = now_ns / 1000000000ULL;
   std::lock_guard<std::mutex> lock(mu_);
-  Slot& s = slots_[sec % slots_.size()];
-  if (s.second != sec) {
-    s.second = sec;
-    s.total = 0;
-    s.fast = 0;
-    s.good = 0;
-  }
+  Counts& s = ring_.at(now_ns);
   ++s.total;
   if (config_.p99_ms <= 0.0 || latency_ms <= config_.p99_ms) ++s.fast;
   if (ok) ++s.good;
 }
 
-SloTracker::WindowCounts SloTracker::window_counts(std::uint64_t sec,
-                                                   unsigned window) const {
-  std::uint64_t oldest = sec >= window ? sec - window + 1 : 0;
-  WindowCounts w;
-  for (const Slot& s : slots_) {
-    if (s.second == kEmptySecond || s.second < oldest || s.second > sec)
-      continue;
+SloTracker::Counts SloTracker::window_counts(std::uint64_t now_ns,
+                                             unsigned window) const {
+  Counts w;
+  ring_.for_window(now_ns, window, [&](const Counts& s) {
     w.total += s.total;
     w.fast += s.fast;
     w.good += s.good;
-  }
+  });
   return w;
 }
 
 SloTracker::Status SloTracker::status(std::uint64_t now_ns) {
   Status out;
-  std::uint64_t sec = now_ns / 1000000000ULL;
   std::lock_guard<std::mutex> lock(mu_);
-  WindowCounts sw = window_counts(sec, kShortWindowSeconds);
-  WindowCounts lw = window_counts(sec, kLongWindowSeconds);
+  Counts sw = window_counts(now_ns, kShortWindowSeconds);
+  Counts lw = window_counts(now_ns, kLongWindowSeconds);
 
   auto burn = [](std::uint64_t bad, std::uint64_t total, double budget) {
     if (total == 0 || budget <= 0.0) return 0.0;

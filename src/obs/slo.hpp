@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/second_ring.hpp"
+
 namespace ocps::obs {
 
 /// Objectives and alerting knobs. A target of 0 disables that objective.
@@ -84,23 +86,16 @@ class SloTracker {
   Status status(std::uint64_t now_ns);
 
  private:
-  struct Slot {
-    std::uint64_t second;
-    std::uint64_t total;
-    std::uint64_t fast;  ///< latency under target (counted only if set)
-    std::uint64_t good;  ///< ok == true
-  };
-
-  struct WindowCounts {
+  struct Counts {  // one second's requests, or a window's sum
     std::uint64_t total = 0;
-    std::uint64_t fast = 0;
-    std::uint64_t good = 0;
+    std::uint64_t fast = 0;  ///< latency under target (counted only if set)
+    std::uint64_t good = 0;  ///< ok == true
   };
-  WindowCounts window_counts(std::uint64_t sec, unsigned window) const;
+  Counts window_counts(std::uint64_t now_ns, unsigned window) const;
 
   SloConfig config_;
   mutable std::mutex mu_;
-  std::vector<Slot> slots_;  ///< one per second, kLongWindowSeconds + 1
+  SecondRing<Counts> ring_{kLongWindowSeconds};
   std::vector<Alert> alerts_;
   std::uint64_t alerts_total_ = 0;
   bool latency_breaching_ = false;

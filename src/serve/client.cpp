@@ -215,6 +215,9 @@ Result<Response> Client::call(const json::Value& request,
 Result<Response> Client::call_with_retry(const Request& req,
                                          const RetryPolicy& policy,
                                          RetryStats* stats) {
+  if (!(req.deadline_ms >= 0.0 && req.deadline_ms <= kMaxDeadlineMs))
+    return Err(ErrorCode::kInvalidArgument,
+               "deadline_ms must be a number in [0, 2^31 - 1]");
   const std::string line = encode_request(req);
   const std::chrono::milliseconds budget(
       static_cast<long long>(req.deadline_ms));

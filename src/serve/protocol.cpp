@@ -119,9 +119,9 @@ Result<Request> parse_request(const std::string& line) {
                "objective must be \"sum\" or \"max\"");
 
   req.deadline_ms = obj.get_number("deadline_ms", 0.0);
-  if (!(req.deadline_ms >= 0.0) || !std::isfinite(req.deadline_ms))
+  if (!(req.deadline_ms >= 0.0 && req.deadline_ms <= kMaxDeadlineMs))
     return Err(ErrorCode::kInvalidArgument,
-               "deadline_ms must be a non-negative number");
+               "deadline_ms must be a number in [0, 2^31 - 1]");
 
   auto trace_id = size_field(obj, "trace_id", 0);
   if (!trace_id.ok()) return trace_id.error();

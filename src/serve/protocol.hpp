@@ -35,6 +35,8 @@
 // JSON numbers are doubles, so integers are exact only below 2^53: a
 // request with an integer field at or above 2^53, or an id outside
 // (-2^53, 2^53), is refused with 400, and such a response id is malformed.
+// A deadline_ms above kMaxDeadlineMs is refused with 400 too: the daemon,
+// the router and the client turn deadlines into integer clock ticks.
 #pragma once
 
 #include <cstdint>
@@ -76,6 +78,11 @@ inline constexpr int kCodeObsDisabled = 501;       ///< obs off (OCPS_OBS unset)
 inline constexpr int kCodeBadGateway = 502;        ///< router: no backend answered
 inline constexpr int kCodeShuttingDown = 503;      ///< drain / overload / no backend up
 inline constexpr int kCodeDeadlineExceeded = 504;  ///< deadline passed
+
+/// Longest deadline a request or a ServeConfig/RouterConfig default may
+/// ask for: 2^31 - 1 ms, 24.8 days. Far larger values overflow the
+/// integer clock when added to now.
+inline constexpr double kMaxDeadlineMs = 2147483647.0;
 
 /// One decoded request. Fields irrelevant to the op stay defaulted.
 struct Request {

@@ -246,6 +246,9 @@ Router::Router(RouterConfig config)
              "router: connect_timeout must be positive");
   OCPS_CHECK(config_.health_interval.count() > 0,
              "router: health_interval must be positive");
+  OCPS_CHECK(config_.default_deadline_ms >= 0.0 &&
+                 config_.default_deadline_ms <= kMaxDeadlineMs,
+             "router: default_deadline_ms must be in [0, 2^31 - 1]");
   ring_ = std::make_unique<HashRing>(config_.backends.size(), config_.vnodes);
   backends_.reserve(config_.backends.size());
   for (const std::string& ep : config_.backends)

@@ -237,8 +237,8 @@ Server::Server(ServeConfig config, std::vector<ProgramModel> models)
   OCPS_CHECK(config_.queue_capacity > 0,
              "serve: queue_capacity must be positive");
   OCPS_CHECK(config_.default_deadline_ms >= 0.0 &&
-                 std::isfinite(config_.default_deadline_ms),
-             "serve: default_deadline_ms must be finite and >= 0");
+                 config_.default_deadline_ms <= kMaxDeadlineMs,
+             "serve: default_deadline_ms must be in [0, 2^31 - 1]");
   OCPS_CHECK(config_.latency_window_s > 0,
              "serve: latency_window_s must be positive");
   OCPS_CHECK(config_.decision_log_capacity > 0,

@@ -42,9 +42,6 @@ std::size_t parallel_thread_count() {
 }
 
 ThreadPool::ThreadPool(std::size_t workers) {
-  queues_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i)
-    queues_.push_back(std::make_unique<WorkerQueue>());
   // After the host has idled, the kernel starts every new thread of a
   // fresh process on one CPU and spreads them only ~0.7 s later, so the
   // first loops of a new pool ran on one core. Each worker first moves
@@ -55,20 +52,20 @@ ThreadPool::ThreadPool(std::size_t workers) {
   threads_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     const int cpu = cpus.empty() ? -1 : cpus[i % cpus.size()];
-    threads_.emplace_back([this, i, cpu, allowed] {
+    threads_.emplace_back([this, cpu, allowed] {
       if (cpu >= 0) start_on(cpu, allowed);
-      worker_loop(i);
+      worker_loop();
     });
   }
   OCPS_OBS_GAUGE("pool.threads", workers + 1);  // + the calling thread
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_release);
   {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    wake_cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
   }
+  seat_cv_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
@@ -79,94 +76,36 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-std::size_t ThreadPool::queue_depth() const {
-  std::size_t depth = 0;
-  for (const auto& q : queues_) {
-    std::lock_guard<std::mutex> lock(q->mutex);
-    depth += q->jobs.size();
-  }
-  return depth;
-}
-
-bool ThreadPool::submit(Job job) {
-  if (queues_.empty()) return false;
-  std::size_t target =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
+void ThreadPool::open(detail::LoopControl& loop) {
   {
-    std::lock_guard<std::mutex> lock(queues_[target]->mutex);
-    queues_[target]->jobs.push_back(job);
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_.push_back(&loop);
   }
-  pending_.fetch_add(1, std::memory_order_release);
-  OCPS_OBS_GAUGE("pool.queue_depth",
-                 pending_.load(std::memory_order_relaxed));
-  {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    wake_cv_.notify_one();
-  }
-  return true;
+  seat_cv_.notify_all();
 }
 
-std::size_t ThreadPool::cancel(void* ctx) {
-  std::size_t removed = 0;
-  for (auto& q : queues_) {
-    std::lock_guard<std::mutex> lock(q->mutex);
-    for (auto it = q->jobs.begin(); it != q->jobs.end();) {
-      if (it->ctx == ctx) {
-        it = q->jobs.erase(it);
-        ++removed;
-      } else {
-        ++it;
-      }
-    }
+void ThreadPool::close(detail::LoopControl& loop) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (loop.seats > 0) {
+    open_.erase(std::find(open_.begin(), open_.end(), &loop));
+    loop.seats = 0;
   }
-  if (removed > 0) pending_.fetch_sub(removed, std::memory_order_release);
-  return removed;
+  left_cv_.wait(lock, [&] { return loop.seated == 0; });
 }
 
-bool ThreadPool::try_pop(std::size_t self, Job& out) {
-  // Own queue first, newest job (LIFO: best locality for nested loops)...
-  {
-    auto& q = *queues_[self];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    if (!q.jobs.empty()) {
-      out = q.jobs.back();
-      q.jobs.pop_back();
-      pending_.fetch_sub(1, std::memory_order_release);
-      return true;
-    }
-  }
-  // ... then steal the oldest job from the other queues (FIFO end), which
-  // tends to grab whole loops rather than their tails.
-  for (std::size_t off = 1; off < queues_.size(); ++off) {
-    auto& q = *queues_[(self + off) % queues_.size()];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    if (!q.jobs.empty()) {
-      out = q.jobs.front();
-      q.jobs.pop_front();
-      pending_.fetch_sub(1, std::memory_order_release);
-      OCPS_OBS_COUNT("pool.jobs_stolen", 1);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
+void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    Job job;
-    if (try_pop(self, job)) {
-      job.run(job.ctx);
-      OCPS_OBS_COUNT("pool.jobs_executed", 1);
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(wake_mutex_);
-    wake_cv_.wait(lock, [&] {
-      return stop_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_acquire) > 0;
-    });
-    if (stop_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0)
-      return;
+    seat_cv_.wait(lock, [&] { return stop_ || !open_.empty(); });
+    if (stop_) return;
+    // The newest loop first: inside a nested loop that is the inner one.
+    detail::LoopControl* loop = open_.back();
+    if (--loop->seats == 0) open_.pop_back();
+    ++loop->seated;
+    lock.unlock();
+    loop->run(loop);
+    lock.lock();
+    if (--loop->seated == 0) left_cv_.notify_all();
   }
 }
 

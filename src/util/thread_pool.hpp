@@ -1,5 +1,4 @@
-// Persistent work-stealing thread pool behind the parallel evaluation
-// sweeps.
+// Persistent thread pool behind the parallel evaluation sweeps.
 //
 // The seed implementation spawned std::thread workers on every
 // parallel_for call and dispatched each index through a type-erased
@@ -9,32 +8,31 @@
 //    OCPS_THREADS / hardware_concurrency) and parked on a condition
 //    variable between loops; each starts by moving itself to its own
 //    CPU, then restores the full affinity mask (see the constructor);
-//  * jobs are plain {function pointer, context} pairs pushed into
-//    per-worker deques — owners pop newest-first, idle workers steal
-//    oldest-first from a random victim — and parallel loops are chunked:
-//    the per-index callable is a template parameter invoked directly
-//    inside the chunk loop, so tight bodies inline (no per-index
-//    indirect call).
+//  * one scheduler: a loop publishes itself, with width - 1 helper seats,
+//    on the pool's list of open loops, and an idle worker takes a seat on
+//    the newest one. Every participant then claims contiguous chunks from
+//    the loop's shared cursor, which is the only load balancing. The
+//    per-index callable is a template parameter invoked directly inside
+//    the chunk loop, so tight bodies inline (no per-index indirect call).
 //
 // Loops are cooperative: the calling thread claims chunks too, so a
 // nested for_each from inside a worker always makes progress even when
-// every other worker is busy (helper jobs that find no chunks left exit
-// immediately; queued helpers are cancelled when the loop drains early).
+// every other worker is busy (a helper seated after the range drained
+// leaves at once). Once the range is drained the caller withdraws the
+// loop's free seats and waits until every seated helper has left.
 // Exceptions thrown by the body are captured and the first one is
 // rethrown on the calling thread after the loop quiesces, matching the
 // old parallel_for contract.
 //
-// Observability (when OCPS_OBS=1): gauge `pool.threads`, counters
-// `pool.jobs_executed`, `pool.jobs_stolen`, `pool.loops`, and gauge
-// `pool.queue_depth` sampled at submission time.
+// Observability (when OCPS_OBS=1): gauge `pool.threads`, the workers plus
+// the calling thread.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -48,15 +46,69 @@ namespace ocps {
 /// one fewer persistent worker because the caller participates.)
 std::size_t parallel_thread_count();
 
+namespace detail {
+
+/// Shared control block of one for_each loop, stack-allocated by the
+/// caller. While the loop is open the pool lists it and idle workers take
+/// its helper seats; the caller withdraws it and waits for every seated
+/// helper to leave before returning, so the block never dangles.
+struct LoopControl {
+  void (*run)(LoopControl*) noexcept = nullptr;  // the typed loop body
+  std::size_t seats = 0;   // free helper seats (guarded by the pool mutex)
+  std::size_t seated = 0;  // helpers inside run (guarded by the pool mutex)
+  std::atomic<std::size_t> next{0};
+  std::size_t end = 0;
+  std::size_t chunk = 1;
+  std::exception_ptr error;
+  std::mutex error_mutex;
+
+  /// Claims the next chunk; returns false when the range is exhausted.
+  bool claim(std::size_t& lo, std::size_t& hi) {
+    std::size_t got = next.fetch_add(chunk, std::memory_order_relaxed);
+    if (got >= end) return false;
+    lo = got;
+    hi = got + chunk < end ? got + chunk : end;
+    return true;
+  }
+
+  void record_error(std::exception_ptr e) {
+    {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = e;
+    }
+    // Stop handing out further chunks; in-flight chunks finish.
+    next.store(end, std::memory_order_relaxed);
+  }
+};
+
+/// Typed loop body shared by the caller and its helpers. Each thread
+/// entering run() builds its own per-thread state via make().
+template <typename Make, typename Fn>
+struct LoopBody : LoopControl {
+  Make* make;
+  Fn* fn;
+
+  LoopBody(Make* m, Fn* f) : make(m), fn(f) { run = &run_body; }
+
+  static void run_body(LoopControl* control) noexcept {
+    auto* body = static_cast<LoopBody*>(control);
+    std::size_t lo = 0, hi = 0;
+    if (!body->claim(lo, hi)) return;  // drained before we started
+    try {
+      auto state = (*body->make)();
+      do {
+        for (std::size_t i = lo; i < hi; ++i) (*body->fn)(state, i);
+      } while (body->claim(lo, hi));
+    } catch (...) {
+      body->record_error(std::current_exception());
+    }
+  }
+};
+
+}  // namespace detail
+
 class ThreadPool {
  public:
-  /// A unit of pool work: `run(ctx)` — no allocation, no type erasure
-  /// beyond the function pointer.
-  struct Job {
-    void (*run)(void*) noexcept = nullptr;
-    void* ctx = nullptr;
-  };
-
   /// Spawns `workers` persistent threads (0 is valid: every loop then runs
   /// entirely on the calling thread).
   explicit ThreadPool(std::size_t workers);
@@ -70,9 +122,6 @@ class ThreadPool {
   static ThreadPool& global();
 
   std::size_t workers() const { return threads_.size(); }
-
-  /// Jobs queued but not yet claimed, summed across worker deques.
-  std::size_t queue_depth() const;
 
   /// Runs fn(i) for every i in [begin, end) with dynamically claimed
   /// contiguous chunks. Blocks until every index ran; rethrows the first
@@ -96,102 +145,20 @@ class ThreadPool {
   void for_each_with(std::size_t begin, std::size_t end, Make&& make,
                      Fn&& fn, std::size_t width = 0);
 
-  /// Enqueues one raw job (round-robin across worker deques). Returns
-  /// false when the pool has no workers — the caller must run it inline.
-  bool submit(Job job);
-
-  /// Removes not-yet-claimed jobs whose ctx equals `ctx`; returns how many
-  /// were removed. Used to retire helper jobs of a loop that drained
-  /// before they started.
-  std::size_t cancel(void* ctx);
-
  private:
-  struct WorkerQueue {
-    mutable std::mutex mutex;
-    std::deque<Job> jobs;
-  };
+  void worker_loop();
+  /// Lists `loop` with its helper seats and wakes idle workers.
+  void open(detail::LoopControl& loop);
+  /// Withdraws `loop`'s free seats and waits until no helper is seated.
+  void close(detail::LoopControl& loop);
 
-  void worker_loop(std::size_t self);
-  bool try_pop(std::size_t self, Job& out);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> threads_;
-  std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;
-  std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> next_queue_{0};
-  std::atomic<std::size_t> pending_{0};
+  std::mutex mutex_;
+  std::condition_variable seat_cv_;  // workers: a seat opened, or stop
+  std::condition_variable left_cv_;  // callers: a helper left its loop
+  std::vector<detail::LoopControl*> open_;  // free seats, newest last
+  bool stop_ = false;
+  std::vector<std::thread> threads_;  // last: the workers use the above
 };
-
-namespace detail {
-
-/// Shared control block of one for_each loop, stack-allocated by the
-/// caller. Helper jobs reference it; the caller cancels or joins every
-/// helper before returning, so the block never dangles.
-struct LoopControl {
-  std::atomic<std::size_t> next{0};
-  std::size_t end = 0;
-  std::size_t chunk = 1;
-  std::atomic<std::size_t> live_helpers{0};
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::exception_ptr error;
-  std::mutex error_mutex;
-
-  /// Claims the next chunk; returns false when the range is exhausted.
-  bool claim(std::size_t& lo, std::size_t& hi) {
-    std::size_t got = next.fetch_add(chunk, std::memory_order_relaxed);
-    if (got >= end) return false;
-    lo = got;
-    hi = got + chunk < end ? got + chunk : end;
-    return true;
-  }
-
-  void record_error(std::exception_ptr e) {
-    {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (!error) error = e;
-    }
-    // Stop handing out further chunks; in-flight chunks finish.
-    next.store(end, std::memory_order_relaxed);
-  }
-
-  void helper_done() {
-    std::lock_guard<std::mutex> lock(done_mutex);
-    live_helpers.fetch_sub(1, std::memory_order_acq_rel);
-    done_cv.notify_all();
-  }
-};
-
-/// Typed loop body shared by the caller and helper jobs. Each thread
-/// entering run() builds its own per-thread state via make().
-template <typename Make, typename Fn>
-struct LoopBody {
-  LoopControl control;
-  Make* make;
-  Fn* fn;
-
-  void run() noexcept {
-    std::size_t lo = 0, hi = 0;
-    if (!control.claim(lo, hi)) return;  // drained before we started
-    try {
-      auto state = (*make)();
-      do {
-        for (std::size_t i = lo; i < hi; ++i) (*fn)(state, i);
-      } while (control.claim(lo, hi));
-    } catch (...) {
-      control.record_error(std::current_exception());
-    }
-  }
-
-  static void run_job(void* ctx) noexcept {
-    auto* body = static_cast<LoopBody*>(ctx);
-    body->run();
-    body->control.helper_done();
-  }
-};
-
-}  // namespace detail
 
 template <typename Make, typename Fn>
 void ThreadPool::for_each_with(std::size_t begin, std::size_t end,
@@ -203,15 +170,8 @@ void ThreadPool::for_each_with(std::size_t begin, std::size_t end,
     width = std::min(width == 0 ? auto_width : width, workers() + 1);
   width = std::min(width, n);
 
-  using Body = detail::LoopBody<std::decay_t<Make>, std::decay_t<Fn>>;
   auto make_copy = std::forward<Make>(make);
   auto fn_copy = std::forward<Fn>(fn);
-  Body body{};
-  body.make = &make_copy;
-  body.fn = &fn_copy;
-  body.control.next.store(begin, std::memory_order_relaxed);
-  body.control.end = end;
-
   if (width <= 1) {
     // Serial: one state, plain loop, exceptions propagate directly.
     auto state = make_copy();
@@ -222,30 +182,17 @@ void ThreadPool::for_each_with(std::size_t begin, std::size_t end,
   // Dynamic scheduling: contiguous chunks claimed from a shared cursor so
   // uneven per-index cost balances out, while each thread still sees long
   // ascending runs (good for prefix-cached state).
-  body.control.chunk = std::max<std::size_t>(1, n / (width * 8));
+  using Body = detail::LoopBody<std::decay_t<Make>, std::decay_t<Fn>>;
+  Body body(&make_copy, &fn_copy);
+  body.next.store(begin, std::memory_order_relaxed);
+  body.end = end;
+  body.chunk = std::max<std::size_t>(1, n / (width * 8));
+  body.seats = width - 1;
 
-  const std::size_t helpers = width - 1;
-  body.control.live_helpers.store(helpers, std::memory_order_relaxed);
-  for (std::size_t h = 0; h < helpers; ++h)
-    submit(Job{&Body::run_job, &body});
-
-  body.run();  // the caller participates
-
-  // The range is drained (or an error stopped it): retire helpers that
-  // never started, then wait for the ones that did.
-  std::size_t cancelled = cancel(&body);
-  if (cancelled > 0) {
-    std::lock_guard<std::mutex> lock(body.control.done_mutex);
-    body.control.live_helpers.fetch_sub(cancelled,
-                                        std::memory_order_acq_rel);
-  }
-  {
-    std::unique_lock<std::mutex> lock(body.control.done_mutex);
-    body.control.done_cv.wait(lock, [&] {
-      return body.control.live_helpers.load(std::memory_order_acquire) == 0;
-    });
-  }
-  if (body.control.error) std::rethrow_exception(body.control.error);
+  open(body);
+  Body::run_body(&body);  // the caller participates
+  close(body);
+  if (body.error) std::rethrow_exception(body.error);
 }
 
 /// Runs fn(i) for every i in [begin, end) on the global pool. Template

@@ -1207,6 +1207,16 @@ TEST_F(RouterTest, RouterDecisionsFanOutAndReconcileFindsTheIssuer) {
   router.stop();
 }
 
+TEST_F(RouterTest, RouterConfigRefusesDeadlinesTheClockCannotHold) {
+  RouterConfig cfg;
+  cfg.socket_path = unique_socket_path("baddl_r");
+  cfg.backends = {unique_socket_path("ghost")};
+  for (double deadline : {kMaxDeadlineMs * 2, 1e300, -1.0}) {
+    cfg.default_deadline_ms = deadline;
+    EXPECT_THROW(Router{cfg}, CheckError) << deadline;
+  }
+}
+
 TEST_F(RouterTest, RouterConfigValidatesSloKnobs) {
   RouterConfig cfg;
   cfg.socket_path = unique_socket_path("badslo_r");

@@ -645,7 +645,11 @@ TEST_F(ServeTest, ProtocolRefusesIntegersTheWireCannotCarryExactly) {
         R"({"op":"decisions","decision_id":9007199254740992})",
         R"({"op":"health","parent_span":18446744073709551615})",
         R"({"id":1e30,"op":"health"})",
-        R"({"id":-9007199254740992,"op":"health"})"})
+        R"({"id":-9007199254740992,"op":"health"})",
+        // Deadlines past kMaxDeadlineMs would overflow the clock (1e13 ms
+        // is 1e19 ns, beyond int64).
+        R"({"op":"partition","programs":["mcf"],"deadline_ms":1e13})",
+        R"({"op":"partition","programs":["mcf"],"deadline_ms":1e300})"})
     EXPECT_FALSE(parse_request(line).ok()) << line;
 
   Result<Request> top = parse_request(
@@ -655,6 +659,11 @@ TEST_F(ServeTest, ProtocolRefusesIntegersTheWireCannotCarryExactly) {
   EXPECT_EQ(top.value().id, -9007199254740991);
   EXPECT_EQ(top.value().decision_id, 9007199254740991u);
   EXPECT_EQ(top.value().trace_id, 9007199254740991u);
+
+  Result<Request> longest = parse_request(
+      R"({"op":"partition","programs":["mcf"],"deadline_ms":2147483647})");
+  ASSERT_TRUE(longest.ok()) << longest.error().to_string();
+  EXPECT_EQ(longest.value().deadline_ms, kMaxDeadlineMs);
 
   EXPECT_FALSE(parse_response(R"({"id":1e30,"ok":true})").ok());
   EXPECT_FALSE(parse_response(R"({"id":1,"ok":false,"code":1e30})").ok());
@@ -1646,6 +1655,17 @@ TEST_F(ServeTest, ServeConfigRejectsBadDecisionKnobs) {
     config.capacity = kCapacity;
     config.drift_threshold = -0.1;
     EXPECT_THROW(Server(config, models), CheckError);
+  }
+}
+
+TEST_F(ServeTest, ServeConfigRefusesDeadlinesTheClockCannotHold) {
+  std::vector<ProgramModel> models = make_models(2);
+  for (double deadline : {kMaxDeadlineMs * 2, 1e300, -1.0}) {
+    ServeConfig config;
+    config.socket_path = unique_socket_path("baddl");
+    config.capacity = kCapacity;
+    config.default_deadline_ms = deadline;
+    EXPECT_THROW(Server(config, models), CheckError) << deadline;
   }
 }
 

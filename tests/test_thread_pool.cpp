@@ -1,5 +1,6 @@
-// Tests for the persistent work-stealing thread pool (util/thread_pool)
-// and the parallel_for / parallel_for_with free functions built on it.
+// Tests for the persistent thread pool (util/thread_pool), whose loops
+// take idle workers as helpers and share one chunk cursor, and for the
+// parallel_for / parallel_for_with free functions built on it.
 #include <gtest/gtest.h>
 
 #include <pthread.h>
@@ -30,55 +31,44 @@ TEST(ThreadPool, EveryIndexRunsExactlyOnce) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
-// One raw job per worker, each held until all have started, so every
-// worker reports its own affinity mask exactly once.
-struct MaskProbe {
-  std::size_t expected = 0;
-  std::atomic<std::size_t> started{0};
-  std::atomic<std::size_t> finished{0};
-  std::mutex mu;
-  std::vector<cpu_set_t> masks;
-  std::set<std::thread::id> threads;
-
-  static void run(void* ctx) noexcept {
-    auto* probe = static_cast<MaskProbe*>(ctx);
-    cpu_set_t mask;
-    CPU_ZERO(&mask);
-    pthread_getaffinity_np(pthread_self(), sizeof(mask), &mask);
-    {
-      std::lock_guard<std::mutex> lock(probe->mu);
-      probe->masks.push_back(mask);
-      probe->threads.insert(std::this_thread::get_id());
-    }
-    probe->started.fetch_add(1);
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (probe->started.load() < probe->expected &&
-           std::chrono::steady_clock::now() < give_up)
-      std::this_thread::yield();
-    probe->finished.fetch_add(1);
-  }
-};
-
 TEST(ThreadPool, WorkerPlacementLeavesNoLastingPin) {
   // Workers move to distinct CPUs at start, then restore the full mask:
   // none may stay pinned, or the scheduler could not balance them.
   cpu_set_t process;
   ASSERT_EQ(sched_getaffinity(0, sizeof(process), &process), 0);
   ThreadPool pool(3);
-  MaskProbe probe;
-  probe.expected = pool.workers();
-  for (std::size_t i = 0; i < probe.expected; ++i)
-    ASSERT_TRUE(pool.submit({&MaskProbe::run, &probe}));
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (probe.finished.load() < probe.expected &&
-         std::chrono::steady_clock::now() < give_up)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_EQ(probe.finished.load(), probe.expected);
-  std::lock_guard<std::mutex> lock(probe.mu);
-  EXPECT_EQ(probe.threads.size(), probe.expected) << "a worker ran two probes";
-  for (const cpu_set_t& mask : probe.masks)
+  // One index per participant, each held in make() until all have
+  // started, so every worker (and the caller) reports its own affinity
+  // mask exactly once.
+  const std::size_t expected = pool.workers() + 1;
+  std::atomic<std::size_t> started{0};
+  std::mutex mu;
+  std::vector<cpu_set_t> masks;
+  std::set<std::thread::id> threads;
+  pool.for_each_with(
+      0, expected,
+      [&] {
+        cpu_set_t mask;
+        CPU_ZERO(&mask);
+        pthread_getaffinity_np(pthread_self(), sizeof(mask), &mask);
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          masks.push_back(mask);
+          threads.insert(std::this_thread::get_id());
+        }
+        started.fetch_add(1);
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (started.load() < expected &&
+               std::chrono::steady_clock::now() < give_up)
+          std::this_thread::yield();
+        return char{0};
+      },
+      [](char&, std::size_t) {}, expected);
+  EXPECT_EQ(started.load(), expected);
+  EXPECT_EQ(threads.size(), expected) << "a thread ran two probes";
+  EXPECT_EQ(threads.count(std::this_thread::get_id()), 1u);
+  for (const cpu_set_t& mask : masks)
     EXPECT_TRUE(CPU_EQUAL(&mask, &process)) << "worker left pinned";
 }
 
@@ -99,7 +89,6 @@ TEST(ThreadPool, ZeroWorkerPoolRunsOnCaller) {
     count.fetch_add(1);
   });
   EXPECT_EQ(count.load(), 100);
-  EXPECT_FALSE(pool.submit(ThreadPool::Job{}));
 }
 
 TEST(ThreadPool, WidthOnePinsTheLoopToTheCaller) {
@@ -145,6 +134,28 @@ TEST(ThreadPool, NestedLoopsMakeProgress) {
       },
       /*width=*/3);
   EXPECT_EQ(total.load(), 8 * 50);
+}
+
+TEST(ThreadPool, ConcurrentLoopsFromTwoCallersComplete) {
+  // Two callers keep loops open on one pool at once, as two in-process
+  // daemons sweeping together do; workers move between the open loops.
+  ThreadPool pool(3);
+  const std::size_t n = 5000;
+  std::atomic<std::size_t> wrong{0};  // indices not run exactly once
+  auto caller = [&] {
+    std::vector<std::atomic<int>> hits(n);
+    for (int loop = 0; loop < 20; ++loop) {
+      pool.for_each(
+          0, n, [&](std::size_t i) { hits[i].fetch_add(1); }, /*width=*/4);
+      for (auto& h : hits)
+        if (h.exchange(0) != 1) wrong.fetch_add(1);
+    }
+  };
+  std::thread first(caller);
+  std::thread second(caller);
+  first.join();
+  second.join();
+  EXPECT_EQ(wrong.load(), 0u);
 }
 
 TEST(ThreadPool, ForEachWithBuildsOneStatePerThread) {
